@@ -1,23 +1,26 @@
-"""Construction-throughput benchmark — array-backed fast path vs reference.
+"""Construction-throughput benchmark — calibrated build times of every variant.
 
-Not a paper figure: this benchmark tracks the structure-of-arrays
-construction pipeline (vectorised z-estimation materialisation, radix-sorted
-leaf arrays, vectorised mismatch extraction).  For a synthetic
-sparse-uncertainty source (default n = 20,000) it builds every index variant
-through both construction paths:
+Not a paper figure: this benchmark tracks the construction pipeline
+(vectorised z-estimation, radix-sorted leaf arrays, CSR tries, grid levels)
+on a synthetic sparse-uncertainty source (default n = 20,000).  It builds
+every index variant plus one sharded build and reports, per build:
 
-* ``reference`` — the frozen per-position / per-leaf path (the pre-array
-  implementation, kept selectable precisely for this comparison);
-* ``vectorized`` — the array-backed fast path (the default everywhere).
+* the wall-clock seconds of the build;
+* the median time of a fixed CPU-bound calibration task sampled right
+  before and right after the build;
+* their ratio, the **normalised build time**: the build's cost in
+  calibration tasks.  A change to the program moves it; a slower or busier
+  machine moves both sides and mostly cancels out.
 
-Both paths must answer a shared pattern batch bit-identically (checked for
-every variant, including the sharded build), and the *monolithic minimizer
-family* (MWST, MWSA, MWST-G, MWSA-G) must build at least ``3x`` faster
-through the fast path at the default size — the acceptance bar of the
-array-backed construction work.  ``MWST-SE`` has a single (space-efficient
-DFS) construction whose hot path was itself rewritten, so it is reported
-new-path-only.  Peak construction memory is measured per build with
-``tracemalloc`` in a separate untimed pass.  Run under pytest-benchmark
+Each build is repeated (round-robin over the variants, so drift spreads
+evenly) and the median normalised time is reported.  Two families are
+summed: the monolithic minimizer family (MWST, MWSA, MWST-G, MWSA-G) and
+the tree family (WST, MWST).  Every variant must answer a shared pattern
+batch identically, and so must each index after a store round-trip, whose
+save/load times give the reload rows.  Peak construction memory is measured
+per build with ``tracemalloc`` in a separate untimed pass.
+``check_construction_regression.py`` gates a fresh ``--json`` run against
+the committed ``BENCH_construction.json``.  Run under pytest-benchmark
 (``pytest benchmarks/ --benchmark-only``) or standalone::
 
     python benchmarks/bench_construction_throughput.py --length 20000
@@ -26,9 +29,12 @@ new-path-only.  Peak construction memory is measured per build with
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
+import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -49,19 +55,17 @@ DEFAULT_Z = 8.0
 DEFAULT_ELL = 16
 DEFAULT_SHARDS = 8
 DEFAULT_PATTERNS = 100
-#: Variants with both construction paths (7 registered kinds minus MWST-SE).
-TWO_PATH_KINDS = ("WST", "WSA", "MWST", "MWSA", "MWST-G", "MWSA-G")
-#: The kinds the acceptance bar is asserted on (aggregate build time).
-MONOLITHIC_MINIMIZER_FAMILY = ("MWST", "MWSA", "MWST-G", "MWSA-G")
-#: The acceptance bar: reference-path vs fast-path aggregate build time.
-REQUIRED_SPEEDUP = 3.0
-#: The tree variants whose construction the CSR trie core accelerates.
-TREE_FAMILY = ("WST", "MWST")
-#: The array/kernel-core acceptance bar: PR-5 path (object tries) vs the CSR
-#: path, aggregate end-to-end build time of the tree family.
-REQUIRED_TREE_SPEEDUP = 2.0
-#: Every monolithic kind, for the store save/reload throughput rows.
-ALL_MONOLITHIC_KINDS = (*TWO_PATH_KINDS, "MWST-SE")
+#: Every monolithic kind (the rows, and the store reload rows).
+ALL_MONOLITHIC_KINDS = ("WST", "WSA", "MWST", "MWSA", "MWST-G", "MWSA-G", "MWST-SE")
+#: The families whose normalised build times are summed and gated.
+FAMILIES = {
+    "minimizer": ("MWST", "MWSA", "MWST-G", "MWSA-G"),
+    "tree": ("WST", "MWST"),
+}
+#: Timed builds per variant; the median normalised time is reported.
+REPEATS = 3
+#: Calibration samples taken right before and right after each timed build.
+CALIBRATION_SAMPLES = 15
 
 
 def make_workload(length: int, pattern_count: int, z: float, ell: int):
@@ -74,17 +78,58 @@ def make_workload(length: int, pattern_count: int, z: float, ell: int):
     return source, patterns
 
 
-def build_variant(source, z, ell, kind, method, shards=None):
-    """One full construction through the chosen path."""
-    options = {"method": method}
-    if kind == "MWST-SE":
-        options = {}  # single construction path
+def build_variant(source, z, ell, kind, shards=None):
+    """One full construction, z-estimation included."""
     if shards is not None:
         return build_index(
-            source, z, kind=kind, ell=ell, shards=shards,
-            max_pattern_len=2 * ell, **options,
+            source, z, kind=kind, ell=ell, shards=shards, max_pattern_len=2 * ell
         )
-    return build_index(source, z, kind=kind, ell=ell, **options)
+    return build_index(source, z, kind=kind, ell=ell)
+
+
+def calibration_task() -> int:
+    """A fixed piece of interpreter work, about a millisecond: integer
+    arithmetic, tuple-keyed dict inserts and a keyed sort."""
+    total = 0
+    for k in range(4000):
+        total += k * k % 7
+    table = {}
+    for k in range(800):
+        table[(k, k % 7)] = [k]
+    return total + len(sorted(table, key=lambda key: -key[0]))
+
+
+def calibration_samples(count: int) -> list[float]:
+    """Wall-clock seconds of ``count`` runs of :func:`calibration_task`.
+
+    The cyclic garbage collector is paused meanwhile: its passes scan every
+    live object, so they would make the samples depend on how many objects
+    the previous builds left alive rather than on the machine's speed.
+    """
+    samples = []
+    gc.disable()
+    try:
+        for _ in range(count):
+            started = time.perf_counter()
+            calibration_task()
+            samples.append(time.perf_counter() - started)
+    finally:
+        gc.enable()
+    return samples
+
+
+def calibrated(builder):
+    """Run ``builder`` between two calibration bursts.
+
+    Returns ``(result, seconds, calibration seconds)``: the build's wall
+    time and the median calibration time of the samples around it.
+    """
+    before = calibration_samples(CALIBRATION_SAMPLES)
+    started = time.perf_counter()
+    result = builder()
+    seconds = time.perf_counter() - started
+    after = calibration_samples(CALIBRATION_SAMPLES)
+    return result, seconds, statistics.median(before + after)
 
 
 def traced_peak_mb(builder) -> float:
@@ -107,21 +152,20 @@ def construction_workload():
 @pytest.mark.parametrize("kind", ["MWSA", "MWST", "MWSA-G", "MWST-SE"])
 def test_construction_fast_path(benchmark, construction_workload, kind):
     source, _ = construction_workload
-    index = benchmark(
-        lambda: build_variant(source, DEFAULT_Z, DEFAULT_ELL, kind, "vectorized")
-    )
+    index = benchmark(lambda: build_variant(source, DEFAULT_Z, DEFAULT_ELL, kind))
     benchmark.extra_info["kind"] = kind
     benchmark.extra_info["index_size_mb"] = round(
         index.stats.index_size_bytes / 1e6, 4
     )
 
 
-def test_reference_and_fast_path_agree(construction_workload):
+def test_variants_agree(construction_workload):
     source, patterns = construction_workload
-    for kind in ("MWSA", "MWST-G"):
-        old = build_variant(source, DEFAULT_Z, DEFAULT_ELL, kind, "reference")
-        new = build_variant(source, DEFAULT_Z, DEFAULT_ELL, kind, "vectorized")
-        assert old.match_many(patterns) == new.match_many(patterns)
+    answers = [
+        build_variant(source, DEFAULT_Z, DEFAULT_ELL, kind).match_many(patterns)
+        for kind in ("WSA", "MWSA", "MWST-G")
+    ]
+    assert answers[0] == answers[1] == answers[2]
 
 
 # --------------------------------------------------------------------------- #
@@ -138,131 +182,71 @@ def main(argv=None) -> int:
         "--skip-memory", action="store_true",
         help="skip the separate tracemalloc peak-memory pass",
     )
-    parser.add_argument(
-        "--require-speedup", type=float, default=None,
-        help=f"fail unless the monolithic minimizer family builds this much "
-        f"faster through the fast path (default: {REQUIRED_SPEEDUP:g} at "
-        f"n >= {DEFAULT_LENGTH}, off below)",
-    )
-    parser.add_argument(
-        "--require-tree-speedup", type=float, default=None,
-        help=f"fail unless the tree family (WST+MWST) builds this much faster "
-        f"through the CSR-trie core than through the PR-5 object-trie path "
-        f"(default: {REQUIRED_TREE_SPEEDUP:g} at n >= {DEFAULT_LENGTH}, off below)",
-    )
     parser.add_argument("--json", action="store_true", help="machine-readable report")
     arguments = parser.parse_args(argv)
 
     source, patterns = make_workload(
         arguments.length, arguments.patterns, arguments.z, arguments.ell
     )
-    required = arguments.require_speedup
-    if required is None and arguments.length >= DEFAULT_LENGTH:
-        required = REQUIRED_SPEEDUP
     if not arguments.json:
         print(
             f"workload: n={len(source)}, z={arguments.z:g}, ell={arguments.ell}, "
             f"shards={arguments.shards}, {len(patterns)} patterns, "
-            f"{os.cpu_count()} cpus"
+            f"{os.cpu_count()} cpus, {REPEATS} repeats"
         )
 
     # Warm caches (numpy kernels, dataset pages) so the first timed build is
     # not charged the process's one-off costs.
     warmup_source, _ = make_workload(min(1_000, arguments.length), 4, arguments.z, arguments.ell)
-    for method in ("reference", "vectorized"):
-        build_variant(warmup_source, arguments.z, arguments.ell, "MWSA", method)
+    build_variant(warmup_source, arguments.z, arguments.ell, "MWSA")
+    calibration_samples(CALIBRATION_SAMPLES)
 
-    rows = []
-    built: dict[str, object] = {}
-    build_seconds: dict[str, float] = {}
-    family_old = family_new = 0.0
-    targets = [(kind, None) for kind in TWO_PATH_KINDS]
+    targets = [(kind, None) for kind in ALL_MONOLITHIC_KINDS]
     targets.append(("MWSA", arguments.shards))  # the sharded build
-    for kind, shards in targets:
-        label = f"SHARDED[{kind}]x{shards}" if shards else kind
-        started = time.perf_counter()
-        old_index = build_variant(
-            source, arguments.z, arguments.ell, kind, "reference", shards
-        )
-        old_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        new_index = build_variant(
-            source, arguments.z, arguments.ell, kind, "vectorized", shards
-        )
-        new_seconds = time.perf_counter() - started
-        if old_index.match_many(patterns) != new_index.match_many(patterns):
-            print(f"MISMATCH: {label} answers differ between construction paths")
-            return 1
-        row = {
-            "kind": label,
-            "reference_seconds": old_seconds,
-            "vectorized_seconds": new_seconds,
-            "speedup": old_seconds / new_seconds if new_seconds > 0 else None,
-        }
-        if not arguments.skip_memory:
-            row["reference_peak_mb"] = traced_peak_mb(
-                lambda: build_variant(
-                    source, arguments.z, arguments.ell, kind, "reference", shards
+    labels = [f"SHARDED[{kind}]x{shards}" if shards else kind for kind, shards in targets]
+    samples: dict[str, list[tuple[float, float]]] = {label: [] for label in labels}
+    built: dict[str, object] = {}
+    for _ in range(REPEATS):
+        for label, (kind, shards) in zip(labels, targets):
+            index, seconds, calibration = calibrated(
+                lambda kind=kind, shards=shards: build_variant(
+                    source, arguments.z, arguments.ell, kind, shards
                 )
             )
-            row["vectorized_peak_mb"] = traced_peak_mb(
-                lambda: build_variant(
-                    source, arguments.z, arguments.ell, kind, "vectorized", shards
+            samples[label].append((seconds, calibration))
+            built[label] = index
+
+    expected = built["WSA"].match_many(patterns)
+    for label in labels:
+        if built[label].match_many(patterns) != expected:
+            print(f"MISMATCH: {label} answers differ from WSA")
+            return 1
+
+    rows = []
+    normalized: dict[str, float] = {}
+    for label, (kind, shards) in zip(labels, targets):
+        runs = samples[label]
+        normalized[label] = statistics.median(seconds / calib for seconds, calib in runs)
+        row = {
+            "kind": label,
+            "build_seconds": statistics.median(seconds for seconds, _ in runs),
+            "calibration_seconds": statistics.median(calib for _, calib in runs),
+            "normalized": normalized[label],
+        }
+        if not arguments.skip_memory:
+            row["peak_mb"] = traced_peak_mb(
+                lambda kind=kind, shards=shards: build_variant(
+                    source, arguments.z, arguments.ell, kind, shards
                 )
             )
         rows.append(row)
-        if shards is None:
-            built[kind] = new_index
-            build_seconds[kind] = new_seconds
-        if kind in MONOLITHIC_MINIMIZER_FAMILY and shards is None:
-            family_old += old_seconds
-            family_new += new_seconds
-
-    # MWST-SE: one construction path, reported for completeness.
-    started = time.perf_counter()
-    se_index = build_variant(source, arguments.z, arguments.ell, "MWST-SE", None)
-    se_seconds = time.perf_counter() - started
-    se_row = {"kind": "MWST-SE", "vectorized_seconds": se_seconds}
-    if not arguments.skip_memory:
-        se_row["vectorized_peak_mb"] = traced_peak_mb(
-            lambda: build_variant(source, arguments.z, arguments.ell, "MWST-SE", None)
-        )
-    se_index.match_many(patterns)  # exercise the built index
-    rows.append(se_row)
-    built["MWST-SE"] = se_index
-    build_seconds["MWST-SE"] = se_seconds
-
-    # PR-5 path rows: the same end-to-end builds through the object-trie
-    # construction that PR 5 shipped, against the CSR-trie core.  Both are
-    # the vectorized pipeline — the toggle isolates exactly the trie layer,
-    # which dominates the tree-variant builds.
-    from repro.strings.trie import trie_implementation
-
-    tree_rows = []
-    tree_old = tree_new = 0.0
-    for kind in TREE_FAMILY:
-        with trie_implementation("object"):
-            started = time.perf_counter()
-            pr5_index = build_variant(source, arguments.z, arguments.ell, kind, "vectorized")
-            pr5_seconds = time.perf_counter() - started
-        csr_seconds = build_seconds[kind]
-        if pr5_index.match_many(patterns) != built[kind].match_many(patterns):
-            print(f"MISMATCH: {kind} answers differ between trie implementations")
-            return 1
-        tree_rows.append({
-            "kind": kind,
-            "pr5_object_trie_seconds": pr5_seconds,
-            "csr_trie_seconds": csr_seconds,
-            "speedup": pr5_seconds / csr_seconds if csr_seconds > 0 else None,
-        })
-        tree_old += pr5_seconds
-        tree_new += csr_seconds
-    tree_speedup = tree_old / tree_new if tree_new > 0 else None
+    families = {
+        name: {"kinds": list(kinds), "normalized": sum(normalized[kind] for kind in kinds)}
+        for name, kinds in FAMILIES.items()
+    }
 
     # Store round-trip rows: persisted CSR tries and grid levels mean a
     # reload re-derives nothing, so load time should sit far below build time.
-    import tempfile
-
     from repro.io.store import load_index, save_index
 
     reload_rows = []
@@ -275,89 +259,58 @@ def main(argv=None) -> int:
             started = time.perf_counter()
             loaded = load_index(path)
             load_seconds = time.perf_counter() - started
-            if loaded.match_many(patterns) != built[kind].match_many(patterns):
+            if loaded.match_many(patterns) != expected:
                 print(f"MISMATCH: {kind} answers differ after a store round-trip")
                 return 1
+            build_seconds = statistics.median(seconds for seconds, _ in samples[kind])
             reload_rows.append({
                 "kind": kind,
-                "build_seconds": build_seconds[kind],
+                "build_seconds": build_seconds,
                 "save_seconds": save_seconds,
                 "load_seconds": load_seconds,
                 "reload_speedup": (
-                    build_seconds[kind] / load_seconds if load_seconds > 0 else None
+                    build_seconds / load_seconds if load_seconds > 0 else None
                 ),
             })
 
-    family_speedup = family_old / family_new if family_new > 0 else None
     from repro.bench.metadata import run_metadata
 
     report = {
-        "schema": "repro.bench.construction_throughput.v2",
+        "schema": "repro.bench.construction_throughput.v3",
         "metadata": run_metadata(),
         "length": len(source),
         "z": arguments.z,
         "ell": arguments.ell,
+        "shards": arguments.shards,
         "patterns": len(patterns),
+        "repeats": REPEATS,
         "rows": rows,
-        "tree_rows": tree_rows,
+        "families": families,
         "reload_rows": reload_rows,
-        "monolithic_minimizer_family_speedup": family_speedup,
-        "tree_family_pr5_speedup": tree_speedup,
         "peak_rss_bytes": peak_rss_bytes(),
     }
     if arguments.json:
         print(json.dumps(report, indent=2))
-    else:
-        for row in rows:
-            parts = [f"{row['kind']}:"]
-            if "reference_seconds" in row:
-                parts.append(f"old={row['reference_seconds']:.3f}s")
-            parts.append(f"new={row['vectorized_seconds']:.3f}s")
-            if row.get("speedup") is not None:
-                parts.append(f"speedup={row['speedup']:.2f}x")
-            if "vectorized_peak_mb" in row:
-                if "reference_peak_mb" in row:
-                    parts.append(
-                        f"peak {row['reference_peak_mb']:.1f}->"
-                        f"{row['vectorized_peak_mb']:.1f}MB"
-                    )
-                else:
-                    parts.append(f"peak {row['vectorized_peak_mb']:.1f}MB")
-            print("  ".join(parts))
+        return 0
+    for row in rows:
+        parts = [
+            f"{row['kind']}:",
+            f"build={row['build_seconds']:.3f}s",
+            f"calibration={row['calibration_seconds'] * 1e3:.3f}ms",
+            f"normalized={row['normalized']:.0f}",
+        ]
+        if "peak_mb" in row:
+            parts.append(f"peak {row['peak_mb']:.1f}MB")
+        print("  ".join(parts))
+    for name, family in families.items():
+        print(f"{name} family ({'+'.join(family['kinds'])}): normalized={family['normalized']:.0f}")
+    for row in reload_rows:
         print(
-            f"monolithic minimizer family (MWST/MWSA/±G) aggregate speedup: "
-            f"{family_speedup:.2f}x"
+            f"{row['kind']}: build={row['build_seconds']:.3f}s  "
+            f"save={row['save_seconds']:.3f}s  load={row['load_seconds']:.3f}s  "
+            f"reload-speedup={row['reload_speedup']:.1f}x"
         )
-        for row in tree_rows:
-            print(
-                f"{row['kind']}: pr5-object-trie={row['pr5_object_trie_seconds']:.3f}s  "
-                f"csr-trie={row['csr_trie_seconds']:.3f}s  "
-                f"speedup={row['speedup']:.2f}x"
-            )
-        print(f"tree family (WST+MWST) aggregate speedup over PR-5: {tree_speedup:.2f}x")
-        for row in reload_rows:
-            print(
-                f"{row['kind']}: build={row['build_seconds']:.3f}s  "
-                f"save={row['save_seconds']:.3f}s  load={row['load_seconds']:.3f}s  "
-                f"reload-speedup={row['reload_speedup']:.1f}x"
-            )
-    failed = False
-    if required is not None and (family_speedup is None or family_speedup < required):
-        print(
-            f"FAIL: monolithic minimizer family speedup {family_speedup:.2f}x "
-            f"is below the required {required:g}x"
-        )
-        failed = True
-    required_tree = arguments.require_tree_speedup
-    if required_tree is None and arguments.length >= DEFAULT_LENGTH:
-        required_tree = REQUIRED_TREE_SPEEDUP
-    if required_tree is not None and (tree_speedup is None or tree_speedup < required_tree):
-        print(
-            f"FAIL: tree family speedup over the PR-5 path {tree_speedup:.2f}x "
-            f"is below the required {required_tree:g}x"
-        )
-        failed = True
-    return 1 if failed else 0
+    return 0
 
 
 if __name__ == "__main__":

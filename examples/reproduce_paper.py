@@ -7,9 +7,8 @@ Thin wrapper over ``python -m repro.bench`` kept as an example entry point:
     python examples/reproduce_paper.py --scale small         # minutes
     python examples/reproduce_paper.py --scale paper         # full parameters
 
-The output prints one text table per figure/series; EXPERIMENTS.md records a
-captured run together with the comparison against the paper's reported
-numbers.
+The output prints one text table per figure/series, to be read against the
+corresponding figure of the paper's Section 7 (no captured run is committed).
 """
 
 from __future__ import annotations

@@ -1,10 +1,27 @@
-"""Legacy setup shim.
+"""Package metadata and install script.
 
-Kept so that ``pip install -e .`` works on offline machines where the
-``wheel`` package (needed by the PEP 517 build path) is unavailable; all
-project metadata lives in ``pyproject.toml`` / ``setup.cfg``.
+``pip install .`` (or ``pip install -e .`` for a development checkout)
+installs the ``repro`` package from ``src/``; numpy is its only runtime
+dependency.  The version is read from ``src/repro/version.py``, the single
+source of truth, without importing the package.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION_FILE = Path(__file__).resolve().parent / "src" / "repro" / "version.py"
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"', VERSION_FILE.read_text(encoding="utf-8"), re.MULTILINE
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description="Space-efficient indexes for uncertain (weighted) strings",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+)

@@ -1,82 +1,24 @@
-"""Optional compiled-kernel layer (Numba-or-nothing).
+"""Scalar construction loops and per-stage timing.
 
-A handful of construction loops are irreducibly scalar — induced sorting for
-SA-IS, the trie-topology stack loop, Kasai's LCP recurrence, the MWST-SE
-segment-tree DFS.  When :mod:`numba` is importable those loops run as
-``@njit``-compiled kernels; otherwise (the only hard dependency of this
-package is numpy) they run as pure-Python/numpy fallbacks that are
-bit-identical and exercised by the same test suite.
-
-The environment variable ``REPRO_KERNELS`` controls detection:
-
-* ``auto`` (default, or unset): use numba when importable;
-* ``off`` / ``0`` / ``python`` / ``disabled``: force the pure-Python engine
-  even when numba is installed;
-* ``numba`` / ``require``: fail loudly if numba is missing, for CI legs that
-  must not silently fall back.
-
-``engine()`` reports the resolved choice (``"python"`` or ``"numba"``) so
-benchmark reports and ``build --json`` can record provenance.
+A handful of construction loops are irreducibly scalar — the trie-topology
+stack loop and Kasai's LCP recurrence; they live here as plain Python over
+numpy arrays.  ``engine()`` names the engine that runs them, so benchmark
+reports and ``build --json`` record provenance.
 """
 
 from __future__ import annotations
 
-import os
-
 __all__ = [
-    "NUMBA",
     "engine",
-    "njit",
     "record_stage",
     "collect_stages",
     "stage_timer",
 ]
 
-_OFF_VALUES = {"off", "0", "no", "false", "python", "disable", "disabled"}
-_REQUIRE_VALUES = {"numba", "require", "required"}
-
-
-def _detect():
-    choice = os.environ.get("REPRO_KERNELS", "auto").strip().lower()
-    if choice in _OFF_VALUES:
-        return None
-    try:
-        import numba  # noqa: PLC0415 - optional dependency probe
-    except Exception as exc:  # pragma: no cover - depends on environment
-        if choice in _REQUIRE_VALUES:
-            raise ImportError(
-                "REPRO_KERNELS=%r requires numba, which is not importable" % choice
-            ) from exc
-        return None
-    return numba
-
-
-_numba = _detect()
-NUMBA = _numba is not None
-
 
 def engine() -> str:
-    """The resolved kernel engine: ``"numba"`` or ``"python"``."""
-    return "numba" if NUMBA else "python"
-
-
-def njit(*args, **kwargs):
-    """``numba.njit`` when available, an identity decorator otherwise.
-
-    The decorated functions are written in the nopython subset but remain
-    valid plain Python over numpy arrays, so the fallback engine runs the
-    same code uncompiled (or a hand-tuned list-based twin where that is
-    faster — see :mod:`repro._kernels.trie`).
-    """
-    if NUMBA:  # pragma: no cover - numba absent in the test container
-        return _numba.njit(*args, **kwargs)
-    if len(args) == 1 and callable(args[0]) and not kwargs:
-        return args[0]
-
-    def decorate(function):
-        return function
-
-    return decorate
+    """The kernel engine: always ``"python"``."""
+    return "python"
 
 
 from .timing import collect_stages, record_stage, stage_timer  # noqa: E402

@@ -2,17 +2,13 @@
 
 One sequential pass over text positions; the amortised O(n) bound depends on
 carrying ``length - 1`` between iterations, so the loop cannot vectorise.
-Runs compiled under numba, or as-is on plain numpy arrays otherwise.
 """
 
 from __future__ import annotations
 
-from . import njit
-
 __all__ = ["kasai"]
 
 
-@njit(cache=True)
 def kasai(text, sa, ranks, lcp):
     """Fill ``lcp`` (same convention as ``lcp_array``: lcp[0] = 0)."""
     n = text.shape[0]

@@ -1,11 +1,11 @@
 """Trie-topology kernel: compacted-trie node arrays from lengths + LCPs.
 
 Given the sorted key lengths and the adjacent-LCP array, the stack loop below
-emits the full node table of the compacted trie in creation order — exactly
-the nodes the object builder in :mod:`repro.strings.trie` would allocate,
-with the same ids.  Letters are *not* consumed here: the first letter of each
-edge is resolved afterwards (vectorised when a bulk accessor exists), which
-is what makes the topology pass a pure int kernel.
+emits the full node table of the compacted trie, numbered in creation order
+(so sibling ids ascend with their first letter, since keys arrive sorted).
+Letters are *not* consumed here: the first letter of each edge is resolved
+afterwards (vectorised when a bulk accessor exists), which is what makes the
+topology pass a pure int kernel.
 
 Arrays produced (length = node count, node 0 is the root):
 
@@ -28,13 +28,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import NUMBA, njit
-
-__all__ = ["trie_topology", "trie_topology_python", "trie_topology_arrays"]
+__all__ = ["trie_topology"]
 
 
-def trie_topology_python(lengths, lcps):
-    """List-backed topology builder — the fast path on plain CPython."""
+def trie_topology(lengths, lcps):
+    """List-backed topology builder (lists beat numpy scalar indexing here)."""
     length_list = [int(value) for value in lengths]
     lcp_list = [int(value) for value in lcps]
     count = len(length_list)
@@ -87,80 +85,3 @@ def trie_topology_python(lengths, lcps):
         np.asarray(lo, dtype=np.int64),
         np.asarray(hi, dtype=np.int64),
     )
-
-
-@njit(cache=True)
-def trie_topology_arrays(lengths, lcps):
-    """Array-backed twin of :func:`trie_topology_python` (njit-compilable).
-
-    Preallocates the worst case of ``2 * count + 1`` nodes and returns views
-    trimmed to the actual node count.  Semantics are identical to the list
-    builder; a parity test runs this function uncompiled against it.
-    """
-    count = lengths.shape[0]
-    capacity = 2 * count + 1
-    depth = np.zeros(capacity, dtype=np.int64)
-    parent_depth = np.zeros(capacity, dtype=np.int64)
-    edge_key = np.zeros(capacity, dtype=np.int64)
-    parent = np.full(capacity, -1, dtype=np.int64)
-    lo = np.zeros(capacity, dtype=np.int64)
-    hi = np.zeros(capacity, dtype=np.int64)
-    if count == 0:
-        edge_key[0] = -1
-    stack = np.zeros(capacity, dtype=np.int64)
-    top = 0
-    node_count = 1
-    for index in range(count):
-        length = lengths[index]
-        limit = lcps[index] if index > 0 else 0
-        if limit > length:
-            limit = length
-        last = -1
-        while depth[stack[top]] > limit:
-            last = stack[top]
-            top -= 1
-            hi[last] = index
-        attach = stack[top]
-        if depth[attach] < limit:
-            middle = node_count
-            node_count += 1
-            depth[middle] = limit
-            parent_depth[middle] = depth[attach]
-            edge_key[middle] = edge_key[last]
-            parent[middle] = attach
-            lo[middle] = lo[last]
-            parent[last] = middle
-            parent_depth[last] = limit
-            top += 1
-            stack[top] = middle
-            attach = middle
-        if length > depth[attach]:
-            leaf = node_count
-            node_count += 1
-            depth[leaf] = length
-            parent_depth[leaf] = depth[attach]
-            edge_key[leaf] = index
-            parent[leaf] = attach
-            lo[leaf] = index
-            top += 1
-            stack[top] = leaf
-    for position in range(top + 1):
-        hi[stack[position]] = count
-    return (
-        depth[:node_count].copy(),
-        parent_depth[:node_count].copy(),
-        edge_key[:node_count].copy(),
-        parent[:node_count].copy(),
-        lo[:node_count].copy(),
-        hi[:node_count].copy(),
-    )
-
-
-def _topology_numba(lengths, lcps):  # pragma: no cover - requires numba
-    return trie_topology_arrays(
-        np.ascontiguousarray(lengths, dtype=np.int64),
-        np.ascontiguousarray(lcps, dtype=np.int64),
-    )
-
-
-trie_topology = _topology_numba if NUMBA else trie_topology_python

@@ -6,10 +6,11 @@ the paper plots.  The sweep values come from a :class:`BenchScale`, so the
 same code runs in CI (``tiny``), on a laptop (``small``) or at the paper's
 parameters (``paper``).
 
-Expected qualitative outcomes (checked against the paper in
-``EXPERIMENTS.md``): the minimizer indexes are 1–2 orders of magnitude
-smaller than WST/WSA and shrink as ℓ grows; arrays beat trees; MWST-SE needs
-by far the least construction space; MWSA queries are competitive with WSA.
+Expected qualitative outcomes, as the paper reports them: the minimizer
+indexes are 1–2 orders of magnitude smaller than WST/WSA and shrink as ℓ
+grows; arrays beat trees; MWST-SE needs by far the least construction
+space; MWSA queries are competitive with WSA.  No captured run is committed
+yet; compare the printed series against the paper's Section 7 figures.
 """
 
 from __future__ import annotations

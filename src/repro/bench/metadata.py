@@ -51,8 +51,7 @@ def run_metadata() -> dict:
         "python_version": platform.python_version(),
         "python_implementation": platform.python_implementation(),
         "numpy_version": np.__version__,
-        # Which kernel engine served the scalar loops: "numba" when the
-        # optional compiled layer is active, "python" for the fallback.
+        # Which kernel engine served the scalar loops (always "python").
         "engine": engine(),
         "platform": platform.platform(),
         "machine": platform.machine(),

@@ -34,13 +34,12 @@ exactly ``⌊w(i)·p_e(α)⌋`` tokens that take letter ``α`` and stay alive fr
 Sub-additivity of the floor function guarantees that the quotas of a group
 never exceed what its sub-groups have already committed plus the tokens that
 are free inside the group, so a greedy bottom-up assignment always succeeds;
-the proof is spelled out in ``DESIGN.md`` §5.1 and exercised by the
-Hypothesis test-suite against a brute-force count oracle.
+the Hypothesis test-suite exercises this against a brute-force count oracle.
 
 The builder's cost is ``O(n + U·z)`` tree work plus the unavoidable
 ``Θ(nz)`` output, where ``U`` is the number of uncertain positions —
-positions whose distribution is concentrated on a single letter are handled
-by an O(1) fast path.
+positions whose distribution is concentrated on a single letter are
+materialised by whole-matrix operations and never touch the tree.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ __all__ = [
     "EstimationCheckpoint",
     "build_z_estimation",
     "resume_z_estimation",
-    "ESTIMATION_METHODS",
     "DEFAULT_CHECKPOINT_EVERY",
 ]
 
@@ -78,13 +76,6 @@ __all__ = [
 DEFAULT_CHECKPOINT_EVERY = 256
 
 
-def _weight_floor(value: float) -> int:
-    """Floor of a token weight with the library-wide rounding tolerance."""
-    if value <= 0.0:
-        return 0
-    return int(math.floor(value + RELATIVE_TOLERANCE * max(1.0, value)))
-
-
 @dataclass
 class EstimationCheckpoint:
     """Builder state captured immediately before processing ``position``.
@@ -93,8 +84,8 @@ class EstimationCheckpoint:
     everything the left-to-right construction needs to continue: the
     per-token alive-from levels and the laminar group tree, flattened to
     :class:`~repro.core.properties.GroupTreeArrays` with the root's coarsest
-    segment normalised to end at ``position`` (the reference and vectorised
-    builders grow it at different times, the state is the same).  Snapshots
+    segment normalised to end at ``position`` (the builder extends it lazily,
+    across whole certain runs).  Snapshots
     of identical states are bit-identical, which is what :meth:`matches`
     tests — the resume path's early-convergence check.
     """
@@ -259,7 +250,15 @@ class _Node:
 
 
 class _EstimationBuilder:
-    """Single-use builder implementing the algorithm described in the module docstring."""
+    """Single-use builder implementing the algorithm described in the module docstring.
+
+    Every position is classified up front with whole-matrix operations (row
+    sums, positive counts, argmax): the certain columns of every ``S_j`` are
+    materialised with one broadcast assignment, and only the (typically
+    sparse) uncertain positions walk the group tree.  A certain position
+    changes no builder state except the root's coarsest segment, which is
+    extended across a whole certain run at once.
+    """
 
     def __init__(
         self,
@@ -271,7 +270,6 @@ class _EstimationBuilder:
         self.z = validate_threshold(z)
         self.width = int(math.floor(self.z + RELATIVE_TOLERANCE))
         self.length = len(source)
-        self.heavy = source.heavy_codes()
         # Snapshot cadence K (None: the module default at call time; 0: off).
         if checkpoint_every is None:
             checkpoint_every = DEFAULT_CHECKPOINT_EVERY
@@ -279,10 +277,9 @@ class _EstimationBuilder:
         self.checkpoints: list[EstimationCheckpoint] = []
         # Per-token alive-from position.
         self.alive_from = np.zeros(self.width, dtype=np.int64)
-        # Property ends, filled progressively.
+        # The family: letter codes and property ends, filled progressively.
+        self.strings = np.empty((self.width, self.length), dtype=np.int64)
         self.ends = np.empty((self.width, self.length), dtype=np.int64)
-        # Letter columns: an int when all tokens share the letter, else an array.
-        self.columns: list = []
         # Laminar group tree; the root's coarsest level is the current position.
         # Initially every token is anchored at level 0 (alive from the start).
         self.root = _Node(
@@ -307,45 +304,59 @@ class _EstimationBuilder:
     def build(self) -> ZEstimation:
         if self.width == 0:
             raise ConstructionError("z must be at least 1 to build a z-estimation")
-        every = self.checkpoint_every
-        for position in range(self.length):
-            if every and position and position % every == 0:
-                self.checkpoints.append(self._snapshot(position))
-            row = np.asarray(self.source.distribution(position), dtype=np.float64)
-            total = row.sum()
-            if total <= 0.0:
-                raise ConstructionError(f"position {position} has zero total probability")
-            row = row / total
-            certain_code = self._certain_letter(row)
-            if certain_code is not None:
-                self._certain_step(position, certain_code)
-            else:
-                self._uncertain_step(position, row)
-        # Close the properties of tokens that are still alive.
-        for token in range(self.width):
-            start = int(self.alive_from[token])
-            if start < self.length:
-                self.ends[token, start:] = self.length - 1
-        strings = self._materialise_strings()
+        self.scan(
+            0,
+            self.checkpoint_every,
+            lambda boundary: self.checkpoints.append(self._snapshot(boundary)),
+        )
+        self.close_alive()
         return ZEstimation(
-            strings, self.ends, self.z, self.source.alphabet, self.checkpoints
+            self.strings, self.ends, self.z, self.source.alphabet, self.checkpoints
         )
 
-    # -- per-position steps --------------------------------------------------------
-    @staticmethod
-    def _certain_letter(row: np.ndarray) -> int | None:
-        """The single letter carrying all the probability mass, if any."""
-        positive = np.nonzero(row > 0.0)[0]
-        if len(positive) == 1:
-            return int(positive[0])
+    def scan(self, start: int, every: int, on_boundary) -> int | None:
+        """Process positions ``start .. n-1`` left to right.
+
+        ``on_boundary(b)`` is called for every checkpoint boundary
+        ``b = start + i·every < n`` (``i ≥ 1``; none when ``every`` is 0) with
+        the builder in its state before position ``b``; a truthy return
+        stops the scan there and ``b`` is returned.  Returns None when the
+        scan reached the end.
+        """
+        n = self.length
+        matrix = self.source.matrix
+        tail = matrix[start:]
+        bad = tail.sum(axis=1) <= 0.0
+        if bad.any():
+            position = start + int(np.argmax(bad))
+            raise ConstructionError(f"position {position} has zero total probability")
+        certain = np.count_nonzero(tail > 0.0, axis=1) == 1
+        # For a certain row the single positive letter is the argmax.
+        self.strings[:, start:][:, certain] = np.argmax(tail[certain], axis=1)[None, :]
+        next_boundary = start + every if every else n
+        for position in (np.nonzero(~certain)[0] + start).tolist():
+            while next_boundary <= position:
+                if on_boundary(next_boundary):
+                    return next_boundary
+                next_boundary += every
+            # Fold the preceding run of certain positions into the root's
+            # coarsest segment in one step.
+            lo, _, weight = self.root.segments[0]
+            self.root.segments[0] = (lo, position, weight)
+            row = matrix[position]
+            self._uncertain_step(position, row / row.sum())
+        while next_boundary < n:
+            if on_boundary(next_boundary):
+                return next_boundary
+            next_boundary += every
         return None
 
-    def _certain_step(self, position: int, code: int) -> None:
-        """O(1) fast path: every token keeps its groups and takes ``code``."""
-        self.columns.append(code)
-        lo, hi, weight = self.root.segments[0]
-        self.root.segments[0] = (lo, position + 1, weight)
+    def close_alive(self) -> None:
+        """Close the properties of tokens that are still alive at the end."""
+        alive = np.arange(self.length, dtype=np.int64)[None, :] >= self.alive_from[:, None]
+        self.ends[alive] = self.length - 1
 
+    # -- per-position steps --------------------------------------------------------
     def _uncertain_step(self, position: int, row: np.ndarray) -> None:
         # Plain-Python floats: scalar arithmetic on list entries is several
         # times faster than indexing numpy scalars and bit-identical (both
@@ -377,7 +388,7 @@ class _EstimationBuilder:
                     member_index += 1
                 for code in positive:
                     value = weight * row_values[code]
-                    # Inlined _weight_floor (the innermost arithmetic).
+                    # Floor with the library-wide rounding tolerance.
                     quota = (
                         0
                         if value <= 0.0
@@ -405,7 +416,7 @@ class _EstimationBuilder:
             return committed, pool
 
         process(self.root)
-        self.columns.append(letters.copy())
+        self.strings[:, position] = letters
 
         # Finalise property ends for every token that lost some start levels.
         for token in range(self.width):
@@ -501,99 +512,11 @@ class _EstimationBuilder:
             node.members.extend(child.members)
             node.children = child.children
 
-    # -- materialisation -----------------------------------------------------------
-    def _materialise_strings(self) -> np.ndarray:
-        strings = np.empty((self.width, self.length), dtype=np.int64)
-        for position, column in enumerate(self.columns):
-            strings[:, position] = column
-        return strings
-
-
-class _ArrayEstimationBuilder(_EstimationBuilder):
-    """Vectorised builder: identical output, structure-of-arrays hot path.
-
-    The reference builder dispatches position by position — a handful of
-    numpy calls per position even when the position is certain, which makes
-    the certain fast path O(n) *Python* work.  This builder classifies every
-    position up front with three whole-matrix operations (row sums, positive
-    counts, argmax), materialises all certain columns of every ``S_j`` with
-    one broadcast assignment, and only then walks the (typically sparse)
-    uncertain positions through the inherited group-tree machinery.  The
-    uncertain steps execute the exact same code as the reference builder on
-    the exact same normalised rows, so the resulting family is bit-identical;
-    the construction-parity tests in ``tests/test_estimation.py`` pin this.
-    """
-
-    def build(self) -> ZEstimation:
-        if self.width == 0:
-            raise ConstructionError("z must be at least 1 to build a z-estimation")
-        n = self.length
-        matrix = self.source.matrix
-        strings = np.empty((self.width, n), dtype=np.int64)
-        if n:
-            sums = matrix.sum(axis=1)
-            bad = sums <= 0.0
-            if bad.any():
-                position = int(np.argmax(bad))
-                raise ConstructionError(
-                    f"position {position} has zero total probability"
-                )
-            certain = np.count_nonzero(matrix > 0.0, axis=1) == 1
-            # For a certain row the single positive letter is the argmax.
-            strings[:, certain] = np.argmax(matrix[certain], axis=1)[None, :]
-            uncertain_positions = np.nonzero(~certain)[0]
-        else:
-            uncertain_positions = np.empty(0, dtype=np.int64)
-        # Next checkpoint boundary; certain runs never change builder state,
-        # so the snapshots of all boundaries inside one run are captured
-        # lazily before the next uncertain step (normalised to the boundary
-        # position, exactly the state the reference builder has there).
-        every = self.checkpoint_every
-        next_checkpoint = every if every else n + 1
-        for position in uncertain_positions:
-            position = int(position)
-            while next_checkpoint <= position:
-                self.checkpoints.append(self._snapshot(next_checkpoint))
-                next_checkpoint += every
-            # Fold the preceding run of certain positions into the root's
-            # coarsest segment in one step (the reference builder extends it
-            # one certain position at a time).
-            lo, _, weight = self.root.segments[0]
-            self.root.segments[0] = (lo, position, weight)
-            row = matrix[position]
-            total = row.sum()
-            row = row / total
-            self._uncertain_step(position, row)
-            strings[:, position] = self.columns[-1]
-            self.columns.clear()
-        while next_checkpoint < n:
-            self.checkpoints.append(self._snapshot(next_checkpoint))
-            next_checkpoint += every
-        # Close the properties of tokens that are still alive.
-        if n:
-            alive = np.arange(n, dtype=np.int64)[None, :] >= self.alive_from[:, None]
-            self.ends[alive] = n - 1
-        return ZEstimation(
-            strings, self.ends, self.z, self.source.alphabet, self.checkpoints
-        )
-
-
-#: Selectable construction paths: ``"vectorized"`` is the array-backed fast
-#: path (the default), ``"reference"`` the per-position builder it must stay
-#: bit-identical to (kept for parity tests and old-vs-new benchmarks).
-ESTIMATION_METHODS = ("vectorized", "reference")
-
-_BUILDERS = {
-    "vectorized": _ArrayEstimationBuilder,
-    "reference": _EstimationBuilder,
-}
-
 
 def build_z_estimation(
     source: WeightedString,
     z: float,
     *,
-    method: str = "vectorized",
     checkpoint_every: int | None = None,
 ) -> ZEstimation:
     """Build a z-estimation of ``source`` for the threshold ``1/z`` (Theorem 2).
@@ -601,22 +524,14 @@ def build_z_estimation(
     The returned family satisfies the exact Count property stated in the
     module docstring; in particular a pattern has a z-valid occurrence at
     ``i`` in ``source`` if and only if it occurs at ``i``, respecting the
-    property, in at least one string of the family.  ``method`` selects one
-    of :data:`ESTIMATION_METHODS`; both produce bit-identical families.
+    property, in at least one string of the family.
 
     ``checkpoint_every`` sets the builder-state snapshot cadence ``K``
     (default: :data:`DEFAULT_CHECKPOINT_EVERY`; 0 disables checkpoints).
     Checkpoints never change the family — they only let later point updates
     resume construction through :func:`resume_z_estimation`.
     """
-    try:
-        builder = _BUILDERS[method]
-    except KeyError:
-        known = ", ".join(ESTIMATION_METHODS)
-        raise ConstructionError(
-            f"unknown estimation method {method!r}; known methods: {known}"
-        ) from None
-    return builder(source, z, checkpoint_every).build()
+    return _EstimationBuilder(source, z, checkpoint_every).build()
 
 
 def resume_z_estimation(
@@ -668,32 +583,18 @@ def resume_z_estimation(
     every = int(checkpoints[0].position)
     by_position = {int(c.position): c for c in checkpoints}
 
-    builder = _ArrayEstimationBuilder(source, z, 0)
+    builder = _EstimationBuilder(source, z, 0)
     builder.alive_from = start.alive_from.copy()
     builder.root = restore_group_tree(start.tree, _Node)
     resume_at = int(start.position)
 
-    strings = np.empty((width, n), dtype=np.int64)
+    strings, ends = builder.strings, builder.ends
     strings[:, :resume_at] = old.strings[:, :resume_at]
-    ends = builder.ends
     columns = np.arange(n, dtype=np.int64)[None, :]
     finalised = columns < builder.alive_from[:, None]
     ends[finalised] = old.ends[finalised]
 
-    matrix = source.matrix
-    tail = matrix[resume_at:]
-    sums = tail.sum(axis=1)
-    bad = sums <= 0.0
-    if bad.any():
-        position = resume_at + int(np.argmax(bad))
-        raise ConstructionError(f"position {position} has zero total probability")
-    certain = np.count_nonzero(tail > 0.0, axis=1) == 1
-    strings[:, resume_at:][:, certain] = np.argmax(tail[certain], axis=1)[None, :]
-    uncertain_positions = np.nonzero(~certain)[0] + resume_at
-
     kept = [c for c in checkpoints if c.position <= resume_at]
-    converged_at = None
-    next_checkpoint = resume_at + every
 
     def check_boundary(boundary: int) -> bool:
         """Snapshot one boundary; True when the replay converged there."""
@@ -705,29 +606,7 @@ def resume_z_estimation(
         kept.append(snapshot)
         return False
 
-    for position in uncertain_positions:
-        position = int(position)
-        while next_checkpoint <= position:
-            if check_boundary(next_checkpoint):
-                converged_at = next_checkpoint
-                break
-            next_checkpoint += every
-        if converged_at is not None:
-            break
-        lo, _, weight = builder.root.segments[0]
-        builder.root.segments[0] = (lo, position, weight)
-        row = matrix[position]
-        row = row / row.sum()
-        builder._uncertain_step(position, row)
-        strings[:, position] = builder.columns[-1]
-        builder.columns.clear()
-    if converged_at is None:
-        while next_checkpoint < n:
-            if check_boundary(next_checkpoint):
-                converged_at = next_checkpoint
-                break
-            next_checkpoint += every
-
+    converged_at = builder.scan(resume_at, every, check_boundary)
     if converged_at is not None:
         # Identical state at the boundary + identical suffix rows: everything
         # the builder would produce from here on matches ``old`` bit for bit.
@@ -736,8 +615,7 @@ def resume_z_estimation(
         ends[open_levels] = old.ends[open_levels]
         kept.extend(c for c in checkpoints if c.position >= converged_at)
     else:
-        alive = columns >= builder.alive_from[:, None]
-        ends[alive] = n - 1
+        builder.close_alive()
     estimation = ZEstimation(strings, ends, z, source.alphabet, kept)
     info = {
         "estimation_replay": "checkpoint",

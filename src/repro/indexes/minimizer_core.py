@@ -26,9 +26,7 @@ This module provides:
 * :class:`MinimizerIndexData` — the pair of collections plus the sampling
   scheme, i.e. everything the MWST / MWSA / grid variants share;
 * :func:`build_leaf_arrays_from_estimation` — the vectorised construction
-  that samples the z-estimation (Lemma 5 / Contribution 1), and
-  :func:`build_leaves_from_estimation`, its per-leaf reference twin kept for
-  parity tests and old-vs-new benchmarks.
+  that samples the z-estimation (Lemma 5 / Contribution 1).
 """
 
 from __future__ import annotations
@@ -52,18 +50,10 @@ __all__ = [
     "LeafArrays",
     "LeafCollection",
     "MinimizerIndexData",
-    "build_leaves_from_estimation",
     "build_leaf_arrays_from_estimation",
     "build_index_data_from_estimation",
     "apply_updates_to_data",
-    "LEAF_METHODS",
 ]
-
-#: Selectable leaf-construction paths of
-#: :func:`build_index_data_from_estimation`: ``"vectorized"`` derives and
-#: sorts leaves as flat arrays (the default), ``"reference"`` goes leaf
-#: object by leaf object.  Both produce leaf-identical collections.
-LEAF_METHODS = ("vectorized", "reference")
 
 
 def _concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -120,7 +110,7 @@ class LeafArrays:
 
     The construction fast path derives leaves directly in this layout;
     :meth:`from_leaves` converts a list of :class:`FactorLeaf` objects (the
-    reference construction, the space-efficient DFS, update re-derivation).
+    space-efficient DFS, hand-built collections).
     """
 
     __slots__ = (
@@ -280,17 +270,12 @@ class LeafCollection:
         *,
         presorted: bool = False,
         trie_lcps: np.ndarray | None = None,
-        method: str = "vectorized",
     ) -> None:
         """``presorted=True`` trusts the given leaf order; ``trie_lcps`` seeds
         the adjacent-LCP cache so reloaded collections build tries without an
-        LCE index (both are used by the binary index store).  ``method``
-        selects the radix-style array sort (default) or the frozen
-        per-leaf reference sort kept for parity tests and old-vs-new
-        benchmarks — both realise the same unique total order."""
+        LCE index (both are used by the binary index store)."""
         self._reference = np.asarray(reference, dtype=np.int64)
         self._lce = lce
-        self._method = method
         self._cached_lcps = (
             None if trie_lcps is None else np.asarray(trie_lcps, dtype=np.int64)
         )
@@ -302,10 +287,7 @@ class LeafCollection:
         if presorted:
             self.raw_to_sorted = np.arange(count, dtype=np.int64)
         else:
-            if method == "reference":
-                order = self._reference_sort_order()
-            else:
-                order = self._sort_order()
+            order = self._sort_order()
             self._arrays = arrays.take(order)
             self.raw_to_sorted = np.empty(count, dtype=np.int64)
             self.raw_to_sorted[order] = np.arange(count, dtype=np.int64)
@@ -576,58 +558,6 @@ class LeafCollection:
             same[candidates] &= np.add.reduceat(equal_entries, starts) == counts
         return same
 
-    def _presort_key(self, index: int, *, packable: bool = True):
-        """Materialised prefix key of one leaf (the reference sort's key).
-
-        Byte strings for alphabets that fit a byte; letter tuples otherwise.
-        (The historical bytes-only key clipped codes at 255, which could
-        order two leaves by their clipped prefixes without ever reaching the
-        exact comparator — a latent mis-sort for σ ≥ 255 alphabets that the
-        construction-parity sweep caught against the array path.)
-        """
-        limit = min(self.PRESORT_PREFIX, int(self._arrays.lengths[index]))
-        if packable:
-            return bytes(self.letter(index, offset) + 1 for offset in range(limit))
-        return tuple(self.letter(index, offset) for offset in range(limit))
-
-    def _reference_sort_order(self) -> np.ndarray:
-        """The frozen per-leaf sort: Python prefix keys + comparator refinement.
-
-        This is the pre-array implementation, kept verbatim in behaviour so
-        the construction benchmark has a faithful old path to compare against
-        and the parity tests can pin both sorts to the same total order.
-        """
-        count = len(self._arrays)
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
-        packable = self._max_letter_code() + 1 < 255
-        keys = {
-            index: self._presort_key(index, packable=packable)
-            for index in range(count)
-        }
-        order = sorted(range(count), key=keys.__getitem__)
-        # Refine groups that share the materialised prefix with the exact
-        # heavy-LCE comparator (O(log z) per comparison, Theorem 12).
-        refined: list[int] = []
-        group: list[int] = []
-        group_key = None
-
-        def flush() -> None:
-            if len(group) > 1:
-                group.sort(key=cmp_to_key(self._compare))
-            refined.extend(group)
-
-        for index in order:
-            key = keys[index]
-            if group_key is None or key != group_key:
-                flush()
-                group = [index]
-                group_key = key
-            else:
-                group.append(index)
-        flush()
-        return np.asarray(refined, dtype=np.int64)
-
     def _sort_order(self) -> np.ndarray:
         """The sorted leaf order, computed with packed-key radix rounds.
 
@@ -638,8 +568,9 @@ class LeafCollection:
         until the tie resolves, the run is recognised as identical-derivation
         duplicates (equal content by construction), or the widening limit is
         reached and the exact heavy-LCE comparator finishes the run.  The
-        resulting permutation realises the same unique total order —
-        (content, length, position, source) — as the reference comparator.
+        resulting permutation realises the unique total order —
+        (content, length, position, source) — of the exact comparator
+        :meth:`_compare`.
         """
         arrays = self._arrays
         count = len(arrays)
@@ -878,12 +809,6 @@ class LeafCollection:
         arrays = self._arrays
         count = len(arrays)
         lcps = np.zeros(count, dtype=np.int64)
-        if count >= 2 and self._method == "reference":
-            # The frozen per-pair walk of the pre-array implementation.
-            for index in range(1, count):
-                lcps[index] = self._leaf_lcp(index - 1, index)
-            self._cached_lcps = lcps
-            return self._cached_lcps
         if count >= 2:
             lengths = arrays.lengths
             pairs = np.arange(1, count, dtype=np.int64)
@@ -1010,90 +935,6 @@ class MinimizerIndexData:
         return total
 
 
-def _derive_leaf_pair(
-    n: int,
-    string_j: np.ndarray,
-    ends_j: np.ndarray,
-    mismatch_positions: np.ndarray,
-    q: int,
-    j: int,
-) -> tuple[FactorLeaf, FactorLeaf]:
-    """The forward/backward leaf pair of minimizer position ``q`` in ``S_j``.
-
-    The scalar source of truth for leaf derivation: the reference
-    construction and the point-update re-derivation both call this, and the
-    vectorised :func:`build_leaf_arrays_from_estimation` must stay
-    row-identical to it (pinned by the construction-parity tests), so an
-    incrementally repaired collection is leaf-for-leaf identical to a fresh
-    array-path build.
-    """
-    forward_end = int(ends_j[q])
-    forward_length = forward_end - q + 1
-    lo = int(np.searchsorted(mismatch_positions, q, side="left"))
-    hi = int(np.searchsorted(mismatch_positions, forward_end, side="right"))
-    forward = FactorLeaf(
-        anchor=q,
-        length=forward_length,
-        mismatches=tuple(
-            (int(p - q), int(string_j[p])) for p in mismatch_positions[lo:hi]
-        ),
-        position=q,
-        source=j,
-    )
-    backward_start = int(np.searchsorted(ends_j, q, side="left"))
-    backward_length = q - backward_start + 1
-    lo = int(np.searchsorted(mismatch_positions, backward_start, side="left"))
-    hi = int(np.searchsorted(mismatch_positions, q, side="right"))
-    backward = FactorLeaf(
-        anchor=n - 1 - q,
-        length=backward_length,
-        mismatches=tuple(
-            sorted((int(q - p), int(string_j[p])) for p in mismatch_positions[lo:hi])
-        ),
-        position=q,
-        source=j,
-    )
-    return forward, backward
-
-
-def build_leaves_from_estimation(
-    source: WeightedString,
-    z: float,
-    ell: int,
-    scheme: MinimizerScheme,
-    estimation: ZEstimation,
-    heavy: HeavyString,
-) -> tuple[list[FactorLeaf], list[FactorLeaf], list[tuple[int, int]]]:
-    """Sample the z-estimation with minimizers (the Lemma 5 construction).
-
-    For every string ``S_j`` and every property-respecting window of length
-    ℓ, the window's minimizer position ``q`` produces one forward leaf (the
-    longest property-respecting substring of ``S_j`` starting at ``q``) and
-    one backward leaf (the longest one ending at ``q``, reversed), both
-    encoded relative to the heavy string.  Returns the two raw leaf lists and
-    the list pairing them up (same list index = same (q, j) label).
-
-    This is the per-leaf reference path;
-    :func:`build_leaf_arrays_from_estimation` is its vectorised twin.
-    """
-    n = len(source)
-    heavy_codes = heavy.codes
-    forward: list[FactorLeaf] = []
-    backward: list[FactorLeaf] = []
-    for j, string_j, ends_j, minimizer_positions in _iter_sampled_strings(
-        source, ell, scheme, estimation
-    ):
-        mismatch_positions = np.nonzero(string_j != heavy_codes)[0]
-        for q in minimizer_positions:
-            forward_leaf, backward_leaf = _derive_leaf_pair(
-                n, string_j, ends_j, mismatch_positions, int(q), j
-            )
-            forward.append(forward_leaf)
-            backward.append(backward_leaf)
-    pairs = list(zip(range(len(forward)), range(len(backward))))
-    return forward, backward, pairs
-
-
 def _iter_sampled_strings(
     source: WeightedString,
     ell: int,
@@ -1126,9 +967,12 @@ def _derive_leaf_arrays_for_string(
     qs: np.ndarray,
     j: int,
 ) -> tuple[LeafArrays, LeafArrays]:
-    """Vectorised twin of :func:`_derive_leaf_pair` for one string's positions.
+    """The leaf pairs of the given minimizer positions of one string ``S_j``.
 
-    Returns the forward/backward leaf blocks of the given (ascending)
+    Position ``q`` yields a forward leaf (the longest property-respecting
+    substring of ``S_j`` starting at ``q``) and a backward leaf (the longest
+    one ending at ``q``, reversed), both encoded relative to the heavy
+    string.  Returns the forward/backward leaf blocks of the given (ascending)
     minimizer positions of ``S_j``, row ``i`` of both blocks carrying the
     same ``(q, j)`` label.  The construction fast path feeds it every
     sampled position; the point-update repair feeds it only the re-derived
@@ -1155,8 +999,7 @@ def _derive_leaf_arrays_for_string(
     backward_lo = np.searchsorted(mismatch_positions, backward_starts, side="left")
     backward_hi = np.searchsorted(mismatch_positions, qs, side="right")
     # Offsets are q - p with p ascending inside each range, so reading
-    # each range in reverse yields the ascending mismatch-offset order
-    # the scalar derivation produces.
+    # each range in reverse yields mismatch offsets in ascending order.
     backward_flat = _concat_ranges_reversed(backward_lo, backward_hi)
     backward_counts = backward_hi - backward_lo
     backward = LeafArrays(
@@ -1179,13 +1022,14 @@ def build_leaf_arrays_from_estimation(
     estimation: ZEstimation,
     heavy: HeavyString,
 ) -> tuple[LeafArrays, LeafArrays]:
-    """Vectorised Lemma 5 sampling: leaves derived as flat arrays.
+    """Sample the z-estimation with minimizers (the Lemma 5 construction).
 
-    Row ``i`` of the forward block and row ``i`` of the backward block form
-    the leaf pair of one ``(q, j)`` label — the same raw order the reference
-    :func:`build_leaves_from_estimation` produces, with every per-leaf loop
-    replaced by searchsorted/gather passes over the mismatch positions of
-    each ``S_j``.
+    For every string ``S_j`` and every property-respecting window of length
+    ℓ, the window's minimizer position ``q`` produces one forward and one
+    backward leaf, derived as flat arrays by searchsorted/gather passes over
+    the mismatch positions of ``S_j``.  Row ``i`` of the forward block and
+    row ``i`` of the backward block form the leaf pair of one ``(q, j)``
+    label, in ``(j, q)`` order.
     """
     n = len(source)
     heavy_codes = heavy.codes
@@ -1209,40 +1053,20 @@ def build_index_data_from_estimation(
     scheme: MinimizerScheme | None = None,
     estimation: ZEstimation | None = None,
     keep_pairs: bool = True,
-    method: str = "vectorized",
 ) -> MinimizerIndexData:
-    """Build the shared minimizer index data through the explicit z-estimation path.
-
-    ``method`` selects one of :data:`LEAF_METHODS`; the vectorised array
-    pipeline is the default, the per-leaf reference path is kept for parity
-    tests and the old-vs-new construction benchmark.  Both are leaf-identical.
-    """
+    """Build the shared minimizer index data through the explicit z-estimation path."""
     if ell <= 0:
         raise ConstructionError("ell must be positive")
-    if method not in LEAF_METHODS:
-        known = ", ".join(LEAF_METHODS)
-        raise ConstructionError(
-            f"unknown leaf construction method {method!r}; known methods: {known}"
-        )
     if scheme is None:
         scheme = MinimizerScheme(ell, source.sigma)
     if estimation is None:
-        estimation = build_z_estimation(source, z, method=method)
+        estimation = build_z_estimation(source, z)
     heavy = HeavyString(source)
-    if method == "reference":
-        raw_forward, raw_backward, _ = build_leaves_from_estimation(
-            source, z, ell, scheme, estimation, heavy
-        )
-        forward = LeafCollection(raw_forward, heavy.codes, method="reference")
-        backward = LeafCollection(
-            raw_backward, heavy.codes[::-1].copy(), method="reference"
-        )
-    else:
-        forward_arrays, backward_arrays = build_leaf_arrays_from_estimation(
-            source, z, ell, scheme, estimation, heavy
-        )
-        forward = LeafCollection(forward_arrays, heavy.codes)
-        backward = LeafCollection(backward_arrays, heavy.codes[::-1].copy())
+    forward_arrays, backward_arrays = build_leaf_arrays_from_estimation(
+        source, z, ell, scheme, estimation, heavy
+    )
+    forward = LeafCollection(forward_arrays, heavy.codes)
+    backward = LeafCollection(backward_arrays, heavy.codes[::-1].copy())
     pairs = None
     if keep_pairs:
         # Raw row i of both blocks carries the same (q, j) label.

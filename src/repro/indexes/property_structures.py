@@ -37,7 +37,6 @@ class PropertySuffixStructure:
         estimation: ZEstimation,
         *,
         with_lcp: bool = False,
-        sa_method: str = "auto",
     ) -> None:
         width, length = estimation.width, estimation.length
         strings = estimation.strings
@@ -46,10 +45,7 @@ class PropertySuffixStructure:
         for j in range(width):
             text[j * piece : j * piece + length] = strings[j] + 1
         self.text = text
-        # "auto" resolves to SA-IS under the compiled kernel engine and to
-        # vectorised prefix doubling on plain CPython; both are kept
-        # bit-identical by the differential suite, so either may serve.
-        self.sa = suffix_array(text, method=sa_method)
+        self.sa = suffix_array(text)
         self.lcp = lcp_array(text, self.sa) if with_lcp else None
 
         # Map each concatenation position to (string, position-in-X).

@@ -75,7 +75,6 @@ class WeightedSuffixTree(UncertainStringIndex):
         *,
         estimation: ZEstimation | None = None,
         space_model: SpaceModel = DEFAULT_SPACE_MODEL,
-        method: str = "vectorized",
     ) -> "WeightedSuffixTree":
         """Build the WST for ``source`` and threshold ``1/z``."""
         started = time.perf_counter()
@@ -83,7 +82,7 @@ class WeightedSuffixTree(UncertainStringIndex):
         # The input probability matrix is resident during every construction.
         tracker.allocate(space_model.probabilities(len(source) * source.sigma))
         if estimation is None:
-            estimation = build_z_estimation(source, z, method=method)
+            estimation = build_z_estimation(source, z)
         estimation_cost = space_model.codes(
             estimation.width * estimation.length
         ) + space_model.words(estimation.width * estimation.length)

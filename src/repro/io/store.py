@@ -572,10 +572,8 @@ def _pack_body(index, arrays: dict, prefix: str) -> dict:
             arrays[f"{prefix}fwd.lcp"] = data.forward.adjacent_lcps()
             arrays[f"{prefix}bwd.lcp"] = data.backward.adjacent_lcps()
             for side, collection in (("fwd", data.forward), ("bwd", data.backward)):
-                trie = collection.build_trie()
-                if trie.implementation == "csr":
-                    for name, array in trie.to_arrays().items():
-                        arrays[f"{prefix}{side}.trie.{name}"] = array
+                for name, array in collection.build_trie().to_arrays().items():
+                    arrays[f"{prefix}{side}.trie.{name}"] = array
         if data.pairs is not None:
             arrays[f"{prefix}pairs"] = np.array(data.pairs, dtype=np.int64).reshape(
                 len(data.pairs), 2
@@ -615,7 +613,7 @@ def _pack_body(index, arrays: dict, prefix: str) -> dict:
         arrays[f"{prefix}ps.sa"] = structure.sa
         if structure.lcp is not None:
             arrays[f"{prefix}ps.lcp"] = structure.lcp
-        if isinstance(index, WeightedSuffixTree) and index._trie.implementation == "csr":
+        if isinstance(index, WeightedSuffixTree):
             for name, array in index._trie.to_arrays().items():
                 arrays[f"{prefix}ps.trie.{name}"] = array
         arrays[f"{prefix}ps.rank_positions"] = structure.rank_positions

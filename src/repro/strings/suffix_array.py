@@ -1,17 +1,9 @@
-"""Suffix arrays for code sequences (prefix doubling and SA-IS).
+"""Suffix arrays for code sequences (vectorised prefix doubling).
 
 The suffix array is the array-based workhorse of the paper's baselines: the
 weighted suffix array (WSA) is, in essence, a generalised suffix array over
-the z-estimation plus per-entry valid lengths.  Two constructions are
-provided and kept equal by differential fuzz tests:
-
-* ``prefix_doubling`` — the classic O(n log n) algorithm, fully vectorised
-  with numpy; the fastest choice on plain CPython.
-* ``sais`` — linear-time SA-IS with the type classification and bucket
-  tables in numpy and the induced-sort loops in :mod:`repro._kernels.sais`;
-  the fastest choice when the compiled kernel engine is active.
-
-``method="auto"`` (the default) picks per the active engine.
+the z-estimation plus per-entry valid lengths.  Construction is the classic
+O(n log n) prefix-doubling algorithm, fully vectorised with numpy.
 """
 
 from __future__ import annotations
@@ -20,27 +12,22 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .._kernels import NUMBA, stage_timer
-from .._kernels.sais import induce_l, induce_s, name_lms, place_lms
+from .._kernels import stage_timer
 
 __all__ = [
     "suffix_array",
     "rank_array",
     "generalized_suffix_array",
     "suffix_array_interval",
-    "SA_METHODS",
 ]
 
-SA_METHODS = ("auto", "prefix_doubling", "sais")
 
-
-def suffix_array(codes: Sequence[int], *, method: str = "auto") -> np.ndarray:
+def suffix_array(codes: Sequence[int]) -> np.ndarray:
     """Return the suffix array of ``codes`` (indices of suffixes in sorted order).
 
     Codes may be any non-negative integers; ties beyond the end of the string
     are resolved by treating "past the end" as smaller than every letter,
     which matches the usual convention of a unique smallest terminator.
-    ``method`` is one of ``SA_METHODS``; every method returns the same array.
     """
     text = np.asarray(codes, dtype=np.int64)
     n = len(text)
@@ -48,15 +35,6 @@ def suffix_array(codes: Sequence[int], *, method: str = "auto") -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     if n == 1:
         return np.zeros(1, dtype=np.int64)
-    if method == "auto":
-        # Uncompiled SA-IS loses to vectorised prefix doubling on CPython;
-        # under the numba engine the linear-time construction wins.
-        method = "sais" if NUMBA else "prefix_doubling"
-    if method == "sais":
-        with stage_timer("sa"):
-            return _suffix_array_sais(text)
-    if method != "prefix_doubling":
-        raise ValueError(f"unknown suffix-array method: {method!r}")
     with stage_timer("sa"):
         return _suffix_array_prefix_doubling(text)
 
@@ -88,68 +66,6 @@ def _suffix_array_prefix_doubling(text: np.ndarray) -> np.ndarray:
     result = np.empty(n, dtype=np.int64)
     result[ranks] = indices
     return result
-
-
-def _sais_classify(text: np.ndarray) -> np.ndarray:
-    """S/L type of every suffix (True = S); requires a unique last symbol."""
-    n = len(text)
-    types = np.zeros(n, dtype=bool)
-    types[-1] = True
-    if n == 1:
-        return types
-    # types[i] is decided by the first j >= i with text[j] != text[j + 1];
-    # such a j always exists because the final sentinel symbol is unique.
-    change = np.nonzero(text[:-1] != text[1:])[0]
-    j = change[np.searchsorted(change, np.arange(n - 1))]
-    types[:-1] = text[j] < text[j + 1]
-    return types
-
-
-def _sais(data: np.ndarray, sigma: int) -> np.ndarray:
-    """SA-IS over a dense alphabet whose last symbol is the unique smallest."""
-    n = len(data)
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
-    types = _sais_classify(data)
-    is_lms = np.zeros(n, dtype=bool)
-    is_lms[1:] = types[1:] & ~types[:-1]
-    lms_positions = np.nonzero(is_lms)[0]
-    bucket_counts = np.bincount(data, minlength=sigma)
-    bucket_tails = np.cumsum(bucket_counts)
-    bucket_heads = bucket_tails - bucket_counts
-    # Pass 1: any intra-bucket order of the LMS positions induces the true
-    # order of the LMS substrings.
-    sa = np.full(n, -1, dtype=np.int64)
-    place_lms(sa, data, lms_positions, bucket_tails.copy())
-    induce_l(sa, data, types, bucket_heads.copy())
-    induce_s(sa, data, types, bucket_tails.copy())
-    sorted_lms = sa[is_lms[sa]]
-    names = np.full(n, -1, dtype=np.int64)
-    name_count = int(name_lms(data, types, is_lms, sorted_lms, names))
-    reduced = names[lms_positions]
-    if name_count == len(lms_positions):
-        order = np.argsort(reduced)
-    else:
-        order = _sais(reduced, name_count)
-    # Pass 2: insert the LMS suffixes in decreasing rank so each bucket fills
-    # from its tail in the correct final order, then induce everything else.
-    sa.fill(-1)
-    place_lms(sa, data, lms_positions[order[::-1]], bucket_tails.copy())
-    induce_l(sa, data, types, bucket_heads.copy())
-    induce_s(sa, data, types, bucket_tails.copy())
-    return sa
-
-
-def _suffix_array_sais(text: np.ndarray) -> np.ndarray:
-    # Compress to a dense alphabet 1..K and append the unique 0 sentinel;
-    # the SA of the sentinel-terminated text minus its first entry equals the
-    # prefix-doubling SA (past-end smaller than every letter).
-    dense = np.unique(text, return_inverse=True)[1]
-    data = np.empty(len(text) + 1, dtype=np.int64)
-    data[:-1] = dense + 1
-    data[-1] = 0
-    sa = _sais(data, int(dense.max()) + 2)
-    return sa[1:]
 
 
 def rank_array(sa: np.ndarray) -> np.ndarray:

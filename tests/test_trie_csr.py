@@ -1,9 +1,9 @@
-"""CSR compacted-trie parity: array construction vs the object builder.
+"""CSR compacted-trie parity: array construction vs the object-trie oracle.
 
-The CSR re-encoding must be *bit-identical* to the original object trie —
-same node set in the same pre-order, same child order, same terminal sets,
-same ``descend`` / ``matching_keys`` answers — for every index variant and
-across store round-trips.
+The CSR trie must be *bit-identical* to the per-node object builder in
+``construction_oracles`` — same node set in the same pre-order, same child
+order, same terminal sets, same ``descend`` / ``matching_keys`` answers —
+for every index variant and across store round-trips.
 """
 
 from __future__ import annotations
@@ -12,8 +12,15 @@ import random
 
 import numpy as np
 import pytest
+from construction_oracles import (
+    assert_same_tree,
+    assert_trie_matches_object_builder,
+    object_descend,
+    object_trie,
+    preorder,
+)
 
-from repro.strings.trie import CompactedTrie, TrieNode, trie_implementation
+from repro.strings.trie import CompactedTrie
 
 
 def random_keys(rng: random.Random, count: int, sigma: int, max_len: int):
@@ -38,6 +45,24 @@ def random_keys(rng: random.Random, count: int, sigma: int, max_len: int):
     return keys, lcps
 
 
+class ObjectTrie:
+    """The oracle trie with the query surface the tests compare."""
+
+    def __init__(self, lengths, lcps, letter) -> None:
+        self.root, self.node_count = object_trie(lengths, lcps, letter)
+        self.key_count = len(lengths)
+        self._letter = letter
+
+    def iter_nodes(self):
+        return preorder(self.root)
+
+    def descend(self, pattern):
+        return object_descend(self.root, pattern, self._letter)
+
+    def matching_keys(self, pattern):
+        return list(range(*self.descend(pattern)))
+
+
 def build_pair(keys, lcps):
     lengths = np.array([len(key) for key in keys], dtype=np.int64)
     lcp_array = np.array(lcps, dtype=np.int64)
@@ -52,21 +77,7 @@ def build_pair(keys, lcps):
         )
 
     csr = CompactedTrie(lengths, lcp_array, letter, bulk_letter=bulk_letter)
-    with trie_implementation("object"):
-        obj = CompactedTrie(lengths, lcp_array, letter, bulk_letter=bulk_letter)
-    return csr, obj
-
-
-def assert_same_tree(a: TrieNode, b: TrieNode) -> None:
-    assert a.depth == b.depth
-    assert a.parent_depth == b.parent_depth
-    assert a.edge_length == b.edge_length
-    assert (a.lo, a.hi) == (b.lo, b.hi)
-    assert a.terminal == b.terminal
-    assert a.is_leaf() == b.is_leaf()
-    assert list(a.children) == list(b.children)  # same child letters, same order
-    for letter in a.children:
-        assert_same_tree(a.children[letter], b.children[letter])
+    return csr, ObjectTrie(lengths, lcp_array, letter)
 
 
 class TestStructuralParity:
@@ -75,8 +86,6 @@ class TestStructuralParity:
         rng = random.Random(seed)
         keys, lcps = random_keys(rng, rng.randint(1, 60), rng.choice([2, 4, 26]), 12)
         csr, obj = build_pair(keys, lcps)
-        assert csr.implementation == "csr"
-        assert obj.implementation == "object"
         assert csr.node_count == obj.node_count
         assert csr.key_count == obj.key_count
         assert_same_tree(csr.root, obj.root)
@@ -115,7 +124,7 @@ class TestQueryParity:
             assert list(csr.matching_keys(pattern)) == list(obj.matching_keys(pattern))
 
     def test_descend_after_view_materialisation(self):
-        # Touching .root flips descend to the object walk; answers must agree.
+        # Materialising the .root view must not change descend's answers.
         rng = random.Random(5)
         keys, lcps = random_keys(rng, 30, 2, 8)
         csr_a, _ = build_pair(keys, lcps)
@@ -139,15 +148,15 @@ class TestArrayRoundTrip:
         assert clone.node_count == csr.node_count
         assert_same_tree(clone.root, csr.root)
 
-    def test_to_arrays_object_mode_raises(self):
-        keys, lcps = random_keys(random.Random(1), 5, 2, 4)
-        _, obj = build_pair(keys, lcps)
-        with pytest.raises(ValueError):
-            obj.to_arrays()
+
+def _variant_tries(index):
+    if index.name == "WST":
+        return [index._trie]
+    return [index.data.forward.build_trie(), index.data.backward.build_trie()]
 
 
 class TestIndexVariantsUnderObjectTrie:
-    """Every trie-using variant answers identically under both builders."""
+    """Every trie-using variant's tries equal the object builder's."""
 
     @pytest.mark.parametrize("kind", ["WST", "MWST", "MWST-G", "MWST-SE"])
     def test_variant_parity(self, kind):
@@ -161,13 +170,9 @@ class TestIndexVariantsUnderObjectTrie:
         matrix[np.arange(300), base] = 0.91
         source = WeightedString(matrix, Alphabet("ACGT"))
         ell = None if kind == "WST" else 6
-        csr_index = build_index(source, 4.0, kind=kind, ell=ell)
-        with trie_implementation("object"):
-            obj_index = build_index(source, 4.0, kind=kind, ell=ell)
-        patterns = [[int(c) for c in base[start : start + 8]] for start in range(0, 280, 11)]
-        patterns += [[int(c) for c in rng.integers(0, 4, size=8)] for _ in range(20)]
-        for pattern in patterns:
-            assert csr_index.locate(pattern) == obj_index.locate(pattern)
+        index = build_index(source, 4.0, kind=kind, ell=ell)
+        for trie in _variant_tries(index):
+            assert_trie_matches_object_builder(trie)
 
     def test_store_round_trip_under_both_builders(self, tmp_path):
         from repro.core.alphabet import Alphabet
@@ -186,13 +191,9 @@ class TestIndexVariantsUnderObjectTrie:
             path = tmp_path / f"{kind}.idx"
             save_index(path, fresh)
             loaded = load_index(path)
-            # Object-built indexes store no trie arrays but still round-trip.
-            with trie_implementation("object"):
-                object_fresh = build_index(source, 4.0, kind=kind, ell=ell)
-            object_path = tmp_path / f"{kind}-object.idx"
-            save_index(object_path, object_fresh)
-            object_loaded = load_index(object_path)
+            # Reloaded tries come from the stored arrays, not a rebuild, and
+            # still equal the object builder's.
+            for trie in _variant_tries(loaded):
+                assert_trie_matches_object_builder(trie)
             for pattern in patterns:
-                expected = fresh.locate(pattern)
-                assert loaded.locate(pattern) == expected
-                assert object_loaded.locate(pattern) == expected
+                assert loaded.locate(pattern) == fresh.locate(pattern)
