@@ -17,7 +17,8 @@ evenly) and the median normalised time is reported.  Two families are
 summed: the monolithic minimizer family (MWST, MWSA, MWST-G, MWSA-G) and
 the tree family (WST, MWST).  Every variant must answer a shared pattern
 batch identically, and so must each index after a store round-trip, whose
-save/load times give the reload rows.  Peak construction memory is measured
+save time and median load time (over the same number of repeats) give the
+reload rows.  Peak construction memory is measured
 per build with ``tracemalloc`` in a separate untimed pass.
 ``check_construction_regression.py`` gates a fresh ``--json`` run against
 the committed ``BENCH_construction.json``.  Run under pytest-benchmark
@@ -62,7 +63,7 @@ FAMILIES = {
     "minimizer": ("MWST", "MWSA", "MWST-G", "MWSA-G"),
     "tree": ("WST", "MWST"),
 }
-#: Timed builds per variant; the median normalised time is reported.
+#: Timed builds (and store reloads) per variant; medians are reported.
 REPEATS = 3
 #: Calibration samples taken right before and right after each timed build.
 CALIBRATION_SAMPLES = 15
@@ -256,9 +257,12 @@ def main(argv=None) -> int:
             started = time.perf_counter()
             save_index(path, built[kind])
             save_seconds = time.perf_counter() - started
-            started = time.perf_counter()
-            loaded = load_index(path)
-            load_seconds = time.perf_counter() - started
+            load_samples = []
+            for _ in range(REPEATS):
+                started = time.perf_counter()
+                loaded = load_index(path)
+                load_samples.append(time.perf_counter() - started)
+            load_seconds = statistics.median(load_samples)
             if loaded.match_many(patterns) != expected:
                 print(f"MISMATCH: {kind} answers differ after a store round-trip")
                 return 1

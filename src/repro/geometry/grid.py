@@ -78,9 +78,7 @@ class RangeTree2D:
     def __init__(self, points: Sequence[Point]) -> None:
         RangeTree2D.build_count += 1
         with stage_timer("grid"):
-            array = np.asarray(
-                [(int(x), int(y)) for x, y in points], dtype=np.int64
-            ).reshape(-1, 2)
+            array = np.asarray(points, dtype=np.int64).reshape(-1, 2)
             if len(array):
                 array = array[np.lexsort((array[:, 1], array[:, 0]))]
             n = len(array)
@@ -210,7 +208,7 @@ class Grid2D:
         *,
         brute_force_limit: int | None = None,
     ) -> None:
-        points = list(points)
+        points = np.asarray(points, dtype=np.int64).reshape(-1, 2)
         limit = self.BRUTE_FORCE_LIMIT if brute_force_limit is None else int(brute_force_limit)
         self._brute_force_limit = limit
         if backend == "brute" or (backend == "auto" and len(points) <= limit):

@@ -11,10 +11,16 @@ comparisons go through longest-common-extension queries on the heavy string
 
 The collection is stored structure-of-arrays: parallel ``anchors`` /
 ``lengths`` / ``positions`` / ``sources`` vectors plus a CSR triple for the
-mismatches.  Sorting packs fixed-width leaf-prefix key matrices and sorts
-them with stable numpy argsorts (radix-style), widening the materialised
-prefix only for the rows still tied; :class:`FactorLeaf` objects are lazy
-views materialised on demand (tests, scalar query paths).
+mismatches.  Leaf content is read as narrow byte windows: one
+``sliding_window_view`` over the +1-shifted, zero-padded reference gathers
+every row's window at ``anchor + lo``, the CSR mismatches are scattered on
+top and offsets past a leaf's end read 0.  Codes use the narrowest dtype
+that fits (``u1``, else big-endian ``>u2``/``>u4``), so one memcmp-ordered
+``S`` view of a window orders leaves over any alphabet.  Sorting runs stable
+argsorts over those keys (radix-style), widening the window only for the
+rows still tied, and records each adjacent pair's LCP in the round that
+separates it — the trie LCPs fall out of the sort.  :class:`FactorLeaf`
+objects are lazy views materialised on demand (tests, scalar query paths).
 
 This module provides:
 
@@ -35,6 +41,7 @@ from dataclasses import dataclass, field
 from functools import cmp_to_key
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..core.estimation import ZEstimation, build_z_estimation, resume_z_estimation
 from ..core.heavy import HeavyString
@@ -78,6 +85,17 @@ def _concat_ranges_reversed(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.repeat(hi - 1, counts) - (
         np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
     )
+
+
+#: Content-key dtypes, narrowest first.  Multi-byte codes are big-endian so
+#: a key row's bytes compare (memcmp) in numeric order.
+_KEY_DTYPES = (np.dtype("u1"), np.dtype(">u2"), np.dtype(">u4"))
+
+
+def _byte_keys(block: np.ndarray) -> np.ndarray:
+    """One fixed-width ``S`` key per row of a content-key block (memcmp order)."""
+    block = np.ascontiguousarray(block)
+    return block.view(f"S{block.shape[1] * block.itemsize}")[:, 0]
 
 
 @dataclass(frozen=True)
@@ -276,6 +294,8 @@ class LeafCollection:
         LCE index (both are used by the binary index store)."""
         self._reference = np.asarray(reference, dtype=np.int64)
         self._lce = lce
+        self._keys_dtype: np.dtype | None = None
+        self._padded: np.ndarray | None = None
         self._cached_lcps = (
             None if trie_lcps is None else np.asarray(trie_lcps, dtype=np.int64)
         )
@@ -287,7 +307,9 @@ class LeafCollection:
         if presorted:
             self.raw_to_sorted = np.arange(count, dtype=np.int64)
         else:
-            order = self._sort_order()
+            order, lcps = self._sort_order()
+            if self._cached_lcps is None:
+                self._cached_lcps = lcps
             self._arrays = arrays.take(order)
             self.raw_to_sorted = np.empty(count, dtype=np.int64)
             self.raw_to_sorted[order] = np.arange(count, dtype=np.int64)
@@ -295,7 +317,6 @@ class LeafCollection:
         self._trie: CompactedTrie | None = None
         self._search_keys: np.ndarray | None = None
         self._search_width = 0
-        self._max_letter: int | None = None
 
     # -- array access ----------------------------------------------------------------
     @property
@@ -454,25 +475,49 @@ class LeafCollection:
             return -1 if source_a < source_b else 1
         return 0
 
-    # -- vectorised content materialisation ----------------------------------------------
-    def _content_matrix(self, rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Letters of the given leaf rows at offsets ``[lo, hi)``.
+    # -- content keys ----------------------------------------------------------------
+    def _key_dtype(self) -> np.dtype:
+        """Narrowest content-key dtype that leaves a sentinel above every letter.
+
+        Keys store codes shifted by +1 (0 marks "past the leaf's end"); the
+        dtype's maximum stays free as the upper-bound sentinel of the batch
+        search.
+        """
+        if self._keys_dtype is None:
+            top = int(self._reference.max(initial=0)) + 1
+            if len(self._arrays.mm_code):
+                top = max(top, int(self._arrays.mm_code.max()) + 1)
+            for dtype in _KEY_DTYPES:
+                if top < np.iinfo(dtype).max:
+                    self._keys_dtype = dtype
+                    break
+            else:
+                raise ConstructionError(f"letter code {top - 1} is too large for content keys")
+        return self._keys_dtype
+
+    def _content_keys(self, rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Content keys of the given leaf rows at offsets ``[lo, hi)``.
 
         Entry ``[i, t]`` is the letter of row ``rows[i]`` at offset
-        ``lo + t``, or ``-1`` past the leaf's end (which sorts before every
-        real letter, matching the proper-prefix-first leaf order).
-        Reference letters are gathered in one fancy-indexing pass and the CSR
-        mismatches of the selected rows are scattered on top.
+        ``lo + t`` shifted by +1, or 0 past the leaf's end (which sorts
+        before every real letter, matching the proper-prefix-first leaf
+        order), in the :meth:`_key_dtype` dtype.  The reference windows are
+        gathered as rows of one ``sliding_window_view`` over the shifted,
+        zero-padded reference and the CSR mismatches of the selected rows
+        are scattered on top.
         """
         arrays = self._arrays
         width = hi - lo
-        if len(rows) == 0 or len(self._reference) == 0:
-            return np.empty((len(rows), width), dtype=np.int64)
-        offsets = np.arange(lo, hi, dtype=np.int64)
-        gather = np.minimum(
-            arrays.anchors[rows][:, None] + offsets[None, :], len(self._reference) - 1
-        )
-        matrix = self._reference[gather]
+        dtype = self._key_dtype()
+        size = len(self._reference)
+        if self._padded is None or len(self._padded) - size < width:
+            pad = width if self._padded is None else max(width, 2 * (len(self._padded) - size))
+            self._padded = np.zeros(size + pad, dtype=dtype)
+            self._padded[:size] = self._reference + 1
+        # A window starting at or past the reference's end is past the
+        # leaf's end too (anchor + length ≤ size): clip it onto the padding.
+        window_starts = np.minimum(arrays.anchors[rows] + lo, size)
+        block = sliding_window_view(self._padded, width)[window_starts]
         starts = arrays.mm_start[rows]
         ends = arrays.mm_start[rows + 1]
         counts = ends - starts
@@ -482,48 +527,17 @@ class LeafCollection:
             selected = (mm_offsets >= lo) & (mm_offsets < hi)
             if selected.any():
                 mm_rows = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
-                matrix[mm_rows[selected], mm_offsets[selected] - lo] = arrays.mm_code[
-                    flat[selected]
-                ]
-        matrix[offsets[None, :] >= arrays.lengths[rows][:, None]] = -1
-        return matrix
-
-    def _max_letter_code(self) -> int:
-        max_code = int(self._reference.max(initial=0))
-        if len(self._arrays.mm_code):
-            max_code = max(max_code, int(self._arrays.mm_code.max()))
-        return max_code
+                block[mm_rows[selected], mm_offsets[selected] - lo] = (
+                    arrays.mm_code[flat[selected]] + 1
+                )
+        remaining = arrays.lengths[rows] - lo
+        short = np.nonzero(remaining < width)[0]
+        if len(short):
+            past_end = np.arange(width, dtype=np.int64)[None, :] >= remaining[short, None]
+            block[short] = np.where(past_end, 0, block[short])
+        return block
 
     # -- sorting ---------------------------------------------------------------------
-    def _stable_content_order(
-        self,
-        matrix: np.ndarray,
-        positions: np.ndarray,
-        sources: np.ndarray,
-        group_ids: np.ndarray | None,
-        packable: bool,
-    ) -> np.ndarray:
-        """Stable order by (group, content columns, position, source).
-
-        Implemented as a chain of stable argsorts from the least significant
-        key up (classic LSD radix sorting); when every letter fits in a byte
-        the content columns collapse into one packed fixed-width byte key
-        compared with a single memcmp-style argsort.
-        """
-        order = np.lexsort((sources, positions))
-        if packable:
-            width = matrix.shape[1]
-            packed = np.ascontiguousarray((matrix + 1).astype(np.uint8)).view(
-                f"S{width}"
-            )[:, 0]
-            order = order[np.argsort(packed[order], kind="stable")]
-        else:
-            for column in range(matrix.shape[1] - 1, -1, -1):
-                order = order[np.argsort(matrix[order, column], kind="stable")]
-        if group_ids is not None:
-            order = order[np.argsort(group_ids[order], kind="stable")]
-        return order
-
     def _equal_derivation_mask(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
         """Mask of row pairs with identical (anchor, length, mismatches).
 
@@ -558,108 +572,109 @@ class LeafCollection:
             same[candidates] &= np.add.reduceat(equal_entries, starts) == counts
         return same
 
-    def _sort_order(self) -> np.ndarray:
-        """The sorted leaf order, computed with packed-key radix rounds.
+    def _sort_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted leaf order and the LCP of each adjacent sorted pair.
 
-        Round one sorts every leaf by its first :data:`PRESORT_PREFIX`
-        letters (past-end marked, so proper prefixes sort first) with
-        position/source as the final tie-breaks; rows still tied on content
-        keep doubling the materialised prefix — but only for themselves —
+        Every leaf is first ordered by (position, source), the final
+        tie-breaks; then radix rounds stably sort by content keys.  Round one
+        reads the first :data:`PRESORT_PREFIX` letters; rows still tied on
+        content keep doubling their window — but only for themselves —
         until the tie resolves, the run is recognised as identical-derivation
         duplicates (equal content by construction), or the widening limit is
         reached and the exact heavy-LCE comparator finishes the run.  The
         resulting permutation realises the unique total order —
         (content, length, position, source) — of the exact comparator
         :meth:`_compare`.
+
+        The LCPs come out of the same rounds.  A pair of adjacent rows of
+        one segment that a round separates gets ``lo + first differing
+        column`` (or the shorter length when the window shows no
+        difference); duplicate runs get their common length and comparator
+        runs :meth:`_leaf_lcp`.  A pair across a segment boundary keeps the
+        LCP of the round that split it: every row of a segment agrees on all
+        columns that round read, so later rounds cannot change that value.
+        ``lcps[i]`` pairs sorted rows ``i - 1`` and ``i`` (``lcps[0] = 0``).
         """
         arrays = self._arrays
         count = len(arrays)
-        order = np.arange(count, dtype=np.int64)
+        order = np.lexsort((arrays.sources, arrays.positions))
+        lcps = np.zeros(count, dtype=np.int64)
         if count <= 1:
-            return order
+            return order, lcps
         lengths = arrays.lengths
-        positions = arrays.positions
-        sources = arrays.sources
-        packable = self._max_letter_code() + 1 < 255
         lo_col = 0
         width = self.PRESORT_PREFIX
-        # (start, end) ranges of `order` whose rows are tied on all columns
-        # below lo_col; initially a single run covering everything.
-        segments: list[tuple[int, int]] = [(0, count)]
-        while segments:
-            rows = np.concatenate([order[start:end] for start, end in segments])
-            slots = np.concatenate(
-                [np.arange(start, end, dtype=np.int64) for start, end in segments]
-            )
-            if len(segments) == 1:
-                group_ids = None
-            else:
-                group_ids = np.repeat(
-                    np.arange(len(segments), dtype=np.int64),
-                    [end - start for start, end in segments],
-                )
+        # [seg_start, seg_end) slot ranges of `order` whose rows are tied on
+        # every column below lo_col, each already in (position, source)
+        # order; initially a single segment covering everything.
+        seg_start = np.zeros(1, dtype=np.int64)
+        seg_end = np.full(1, count, dtype=np.int64)
+        while len(seg_start):
             hi_col = lo_col + width
-            matrix = self._content_matrix(rows, lo_col, hi_col)
-            sub = self._stable_content_order(
-                matrix, positions[rows], sources[rows], group_ids, packable
-            )
+            slots = _concat_ranges(seg_start, seg_end)
+            rows = order[slots]
+            block = self._content_keys(rows, lo_col, hi_col)
+            # Prefix each key with its segment id: one argsort orders the
+            # segments and, stably, the rows inside each of them.
+            segment_ids = np.repeat(np.arange(len(seg_start), dtype=">u4"), seg_end - seg_start)
+            prefixed = np.empty((len(rows), 4 + block.nbytes // len(rows)), np.uint8)
+            prefixed[:, :4] = segment_ids.view(np.uint8).reshape(-1, 4)
+            prefixed[:, 4:] = block.view(np.uint8)
+            keys = _byte_keys(prefixed)
+            same_segment = segment_ids[1:] == segment_ids[:-1]
+            sub = np.argsort(keys, kind="stable")
             rows = rows[sub]
-            matrix = matrix[sub]
+            block = block[sub]
+            keys = keys[sub]
             order[slots] = rows
-            same_group = (
-                np.ones(len(rows) - 1, dtype=bool)
-                if group_ids is None
-                else group_ids[sub][1:] == group_ids[sub][:-1]
-            )
             # A row is only fully encoded once its past-end marker fell
-            # inside the materialised window, i.e. when length < hi_col; a
-            # leaf of length exactly hi_col is indistinguishable from a
-            # longer one sharing its letters and must stay tied.
-            tied = (
-                same_group
-                & (lengths[rows[1:]] >= hi_col)
-                & (lengths[rows[:-1]] >= hi_col)
-                & np.all(matrix[1:] == matrix[:-1], axis=1)
-            )
-            segments = []
+            # inside the window, i.e. when length < hi_col; a leaf of length
+            # exactly hi_col is indistinguishable from a longer one sharing
+            # its letters and must stay tied.
+            long_rows = lengths[rows] >= hi_col
+            tied = (keys[1:] == keys[:-1]) & long_rows[1:] & long_rows[:-1]
+            split = np.nonzero(same_segment & ~tied)[0]
+            if len(split):
+                differ = block[split] != block[split + 1]
+                first = differ.argmax(axis=1)
+                lcps[slots[split + 1]] = np.where(
+                    differ[np.arange(len(split)), first],
+                    lo_col + first,
+                    np.minimum(lengths[rows[split]], lengths[rows[split + 1]]),
+                )
             boundaries = np.nonzero(tied)[0]
             if len(boundaries):
+                # Tied pairs (i, i+1) form runs of consecutive boundaries.
+                run_heads = np.concatenate([[True], np.diff(boundaries) != 1])
+                run_first = np.nonzero(run_heads)[0]
+                run_ids = np.cumsum(run_heads) - 1
                 duplicate = self._equal_derivation_mask(
                     rows[boundaries], rows[boundaries + 1]
                 )
-                run_start = int(boundaries[0])
-                previous = run_start
-                runs = []
-                all_duplicate = bool(duplicate[0])
-                run_all_duplicates = []
-                for boundary, is_duplicate in zip(boundaries[1:], duplicate[1:]):
-                    boundary = int(boundary)
-                    if boundary != previous + 1:
-                        runs.append((run_start, previous + 2))
-                        run_all_duplicates.append(all_duplicate)
-                        run_start = boundary
-                        all_duplicate = True
-                    all_duplicate = all_duplicate and bool(is_duplicate)
-                    previous = boundary
-                runs.append((run_start, previous + 2))
-                run_all_duplicates.append(all_duplicate)
-                for (run_lo, run_hi), duplicates_only in zip(runs, run_all_duplicates):
-                    if duplicates_only:
-                        # Every neighbouring pair shares its derivation, so
-                        # the whole run spells equal content of equal length:
-                        # the (position, source) tie-break just applied is
-                        # the final order.
-                        continue
-                    segments.append((int(slots[run_lo]), int(slots[run_lo]) + run_hi - run_lo))
+                duplicates_only = np.logical_and.reduceat(duplicate, run_first)
+                # Every neighbouring pair of a duplicate run shares its
+                # derivation: equal content of equal length, so the
+                # (position, source) order is final and the LCP is the length.
+                closed = boundaries[duplicates_only[run_ids]]
+                lcps[slots[closed + 1]] = lengths[rows[closed]]
+                run_last = np.append(run_first[1:], len(boundaries)) - 1
+                open_runs = ~duplicates_only
+                run_lo = boundaries[run_first[open_runs]]
+                run_hi = boundaries[run_last[open_runs]] + 2
+                seg_start = slots[run_lo]
+                seg_end = seg_start + (run_hi - run_lo)
+            else:
+                seg_start = seg_start[:0]
             lo_col = hi_col
             width = min(2 * width, self.SORT_WIDEN_LIMIT)
-            if segments and lo_col >= self.SORT_WIDEN_LIMIT:
+            if len(seg_start) and lo_col >= self.SORT_WIDEN_LIMIT:
                 comparator = cmp_to_key(self._compare)
-                for start, end in segments:
-                    chunk = sorted(order[start:end], key=comparator)
-                    order[start:end] = chunk
+                for start, end in zip(seg_start.tolist(), seg_end.tolist()):
+                    order[start:end] = sorted(order[start:end], key=comparator)
+                    for slot in range(start + 1, end):
+                        lcps[slot] = self._leaf_lcp(int(order[slot - 1]), int(order[slot]))
                 break
-        return order
+        return order, lcps
 
     # -- searching -----------------------------------------------------------------------
     def _leaf_less_than_piece(self, index: int, piece, *, strict_prefix_smaller: bool) -> bool:
@@ -709,50 +724,30 @@ class LeafCollection:
         return start, lo_search
 
     # -- batch searching -------------------------------------------------------------------
-    def prefix_matrix(self, width: int) -> np.ndarray:
-        """Materialised ``(count × width)`` matrix of leaf prefixes.
+    def _batch_search_keys(self, width: int) -> np.ndarray:
+        """Fixed-width byte keys of the sorted leaf prefixes, for ``np.searchsorted``.
 
-        Entry ``[i, t]`` is the letter of sorted leaf ``i`` at offset ``t``,
-        or ``-1`` past the leaf's end (which sorts before every real letter,
-        matching the proper-prefix-first leaf order).
+        The :meth:`_content_keys` of every leaf at offsets ``[0, width)``,
+        cached and widened on demand.
         """
-        count = len(self._arrays)
-        if count == 0:
-            return np.empty((0, width), dtype=np.int64)
-        return self._content_matrix(np.arange(count, dtype=np.int64), 0, width)
-
-    def _batch_search_keys(self, width: int) -> np.ndarray | None:
-        """Fixed-width byte keys of the leaf prefixes, for ``np.searchsorted``.
-
-        Letters are shifted by +1 so that the past-end marker becomes the
-        zero byte; returns None when a *leaf* letter would not fit below the
-        upper-bound sentinel byte (code ≥ 254), in which case callers fall
-        back to the scalar search.  Query pieces may still carry larger
-        codes: every code above all leaf letters compares identically, so
-        queries saturate at byte 255 without changing the order.
-        """
-        if self._max_letter is None:
-            self._max_letter = self._max_letter_code()
-        if self._max_letter + 1 >= 255:
-            return None
         if self._search_keys is None or self._search_width < width:
-            matrix = (self.prefix_matrix(width) + 1).astype(np.uint8)
-            self._search_keys = np.ascontiguousarray(matrix).view(f"S{width}")[:, 0]
+            rows = np.arange(len(self._arrays), dtype=np.int64)
+            self._search_keys = _byte_keys(self._content_keys(rows, 0, width))
             self._search_width = width
         return self._search_keys
 
-    def _seed_search_caches(self, keys: np.ndarray | None, width: int, max_letter: int | None) -> None:
-        """Adopt still-valid search caches carried over by an update merge."""
-        self._max_letter = max_letter
-        if keys is not None:
-            self._search_keys = keys
-            self._search_width = width
+    def _seed_search_caches(self, keys: np.ndarray, width: int, dtype: np.dtype) -> None:
+        """Adopt still-valid search keys (of ``dtype`` codes) carried over by an update merge."""
+        self._keys_dtype = dtype
+        self._search_keys = keys
+        self._search_width = width
 
     def invalidate_search_caches(self) -> None:
         """Drop the cached byte keys and trie (content changed in place)."""
         self._search_keys = None
         self._search_width = 0
-        self._max_letter = None
+        self._keys_dtype = None
+        self._padded = None
         self._trie = None
 
     def prefix_range_many(self, pieces: list) -> np.ndarray:
@@ -768,25 +763,21 @@ class LeafCollection:
             return ranges
         width = min(max(len(piece) for piece in pieces), self.SEARCH_PREFIX_LIMIT)
         keys = self._batch_search_keys(width)
-        if keys is None:
-            for row, piece in enumerate(pieces):
-                ranges[row] = self.prefix_range(piece)
-            return ranges
         effective_width = self._search_width
-        low_queries = np.zeros((len(pieces), effective_width), dtype=np.uint8)
-        high_queries = np.full((len(pieces), effective_width), 255, dtype=np.uint8)
+        dtype = self._key_dtype()
+        sentinel = np.iinfo(dtype).max
+        low_queries = np.zeros((len(pieces), effective_width), dtype=dtype)
+        high_queries = np.full((len(pieces), effective_width), sentinel, dtype=dtype)
         for row, piece in enumerate(pieces):
             head = np.asarray(piece[:effective_width], dtype=np.int64) + 1
-            # Codes above every leaf letter (≤ 253 here) saturate at the
-            # sentinel byte: they can never equal a leaf letter, and 255 is
-            # greater than every leaf byte, so the order is preserved.
-            head = np.minimum(head, 255)
+            # Codes above every leaf letter saturate at the sentinel: they can
+            # never equal a leaf letter, and the sentinel is greater than
+            # every leaf key, so the order is preserved.
+            head = np.minimum(head, sentinel)
             low_queries[row, : len(head)] = head
             high_queries[row, : len(head)] = head
-        low_keys = np.ascontiguousarray(low_queries).view(f"S{effective_width}")[:, 0]
-        high_keys = np.ascontiguousarray(high_queries).view(f"S{effective_width}")[:, 0]
-        ranges[:, 0] = np.searchsorted(keys, low_keys, side="left")
-        ranges[:, 1] = np.searchsorted(keys, high_keys, side="right")
+        ranges[:, 0] = np.searchsorted(keys, _byte_keys(low_queries), side="left")
+        ranges[:, 1] = np.searchsorted(keys, _byte_keys(high_queries), side="right")
         for row, piece in enumerate(pieces):
             if len(piece) > effective_width:
                 ranges[row] = self.prefix_range(
@@ -795,51 +786,56 @@ class LeafCollection:
         return ranges
 
     # -- trie ------------------------------------------------------------------------------
+    def _pair_lcps(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """LCP of each ``(left[i], right[i])`` leaf row pair.
+
+        Identical-derivation pairs short-circuit to their common length,
+        every other pair compares :meth:`_content_keys` windows in widening
+        rounds, and only pairs that agree beyond :data:`SORT_WIDEN_LIMIT`
+        letters fall back to the exact heavy-LCE walk.
+        """
+        lengths = self._arrays.lengths
+        limits = np.minimum(lengths[left], lengths[right])
+        lcps = np.zeros(len(left), dtype=np.int64)
+        same = self._equal_derivation_mask(left, right)
+        lcps[same] = limits[same]
+        remaining = np.nonzero(~same)[0]
+        lo = 0
+        width = self.PRESORT_PREFIX
+        while len(remaining):
+            hi = lo + width
+            differ = self._content_keys(left[remaining], lo, hi) != self._content_keys(
+                right[remaining], lo, hi
+            )
+            first = differ.argmax(axis=1)
+            found = differ[np.arange(len(remaining)), first]
+            lcps[remaining[found]] = lo + first[found]
+            remaining = remaining[~found]
+            resolved = remaining[limits[remaining] <= hi]
+            lcps[resolved] = limits[resolved]
+            remaining = remaining[limits[remaining] > hi]
+            lo = hi
+            width = min(2 * width, self.SORT_WIDEN_LIMIT)
+            if len(remaining) and lo >= self.SORT_WIDEN_LIMIT:
+                for index in remaining:
+                    lcps[index] = self._leaf_lcp(int(left[index]), int(right[index]))
+                break
+        return lcps
+
     def adjacent_lcps(self) -> np.ndarray:
         """LCP of each consecutive sorted leaf pair (cached; persisted by the store).
 
-        Computed vectorised: identical-derivation neighbours short-circuit to
-        their common length, every other pair is resolved by comparing
-        materialised content blocks in widening rounds, and only pairs that
-        agree beyond :data:`SORT_WIDEN_LIMIT` letters fall back to the exact
-        heavy-LCE walk.
+        A sorted collection gets its LCPs from :meth:`_sort_order`, and a
+        reloaded one from the store; only a ``presorted`` collection that
+        arrives without them computes them here, with :meth:`_pair_lcps`.
         """
-        if self._cached_lcps is not None:
-            return self._cached_lcps
-        arrays = self._arrays
-        count = len(arrays)
-        lcps = np.zeros(count, dtype=np.int64)
-        if count >= 2:
-            lengths = arrays.lengths
-            pairs = np.arange(1, count, dtype=np.int64)
-            limits = np.minimum(lengths[pairs - 1], lengths[pairs])
-            same = self._equal_derivation_mask(pairs - 1, pairs)
-            lcps[pairs[same]] = limits[same]
-            remaining = pairs[~same]
-            lo = 0
-            width = self.PRESORT_PREFIX
-            while len(remaining):
-                hi = lo + width
-                left = self._content_matrix(remaining - 1, lo, hi)
-                right = self._content_matrix(remaining, lo, hi)
-                difference = left != right
-                found = difference.any(axis=1)
-                lcps[remaining[found]] = lo + np.argmax(difference[found], axis=1)
-                remaining = remaining[~found]
-                if len(remaining):
-                    pair_limits = np.minimum(
-                        lengths[remaining - 1], lengths[remaining]
-                    )
-                    resolved = pair_limits <= hi
-                    lcps[remaining[resolved]] = pair_limits[resolved]
-                    remaining = remaining[~resolved]
-                lo = hi
-                width = min(2 * width, self.SORT_WIDEN_LIMIT)
-                if len(remaining) and lo >= self.SORT_WIDEN_LIMIT:
-                    for index in remaining:
-                        lcps[index] = self._leaf_lcp(int(index) - 1, int(index))
-                    break
-        self._cached_lcps = lcps
+        if self._cached_lcps is None:
+            count = len(self._arrays)
+            lcps = np.zeros(count, dtype=np.int64)
+            if count >= 2:
+                rows = np.arange(count, dtype=np.int64)
+                lcps[1:] = self._pair_lcps(rows[:-1], rows[1:])
+            self._cached_lcps = lcps
         return self._cached_lcps
 
     def build_trie(self) -> CompactedTrie:
@@ -880,8 +876,9 @@ class MinimizerIndexData:
     ``forward`` holds the ``Tsuff`` content (factors read rightward from
     their minimizer), ``backward`` the ``Tpref`` content (read leftward);
     ``pairs`` links leaves with equal minimizer labels and feeds the 2D grid
-    of the *-G* variants (``None`` when built by the space-efficient
-    construction, which does not produce the pairing).
+    of the *-G* variants: an ``(N, 2)`` int64 array of (forward rank,
+    backward rank) rows, or ``None`` when built by the space-efficient
+    construction, which does not produce the pairing.
     """
 
     source: WeightedString
@@ -891,7 +888,7 @@ class MinimizerIndexData:
     heavy: HeavyString
     forward: LeafCollection
     backward: LeafCollection
-    pairs: list[tuple[int, int]] | None = None
+    pairs: np.ndarray | None = None
     construction: str = "estimation"
     counters: dict = field(default_factory=dict)
     #: The z-estimation the leaves were sampled from, retained (when built
@@ -1070,12 +1067,7 @@ def build_index_data_from_estimation(
     pairs = None
     if keep_pairs:
         # Raw row i of both blocks carries the same (q, j) label.
-        pairs = list(
-            zip(
-                (int(x) for x in forward.raw_to_sorted),
-                (int(y) for y in backward.raw_to_sorted),
-            )
-        )
+        pairs = np.column_stack((forward.raw_to_sorted, backward.raw_to_sorted))
     return MinimizerIndexData(
         source=source,
         z=z,
@@ -1104,7 +1096,7 @@ def _batch_leaf_less(
     """Vectorised exact leaf order: mask of pairs with ``rows_a[i] < rows_b[i]``.
 
     Equivalent to :meth:`LeafCollection._compare` but driven entirely by
-    :meth:`LeafCollection._content_matrix` strips (past-end ``-1`` sorts
+    :meth:`LeafCollection._content_keys` strips (the past-end 0 sorts
     proper prefixes first), so it needs no LCE index over the reference.
     Pairs still tied after their content is exhausted — the z
     identical-content duplicates — fall through to the (position, source)
@@ -1124,8 +1116,8 @@ def _batch_leaf_less(
         limit = int(pair_limits[undecided].max(initial=0))
         if column >= limit:
             break
-        strip_a = collection._content_matrix(rows_a[undecided], column, column + strip)
-        strip_b = collection._content_matrix(rows_b[undecided], column, column + strip)
+        strip_a = collection._content_keys(rows_a[undecided], column, column + strip)
+        strip_b = collection._content_keys(rows_b[undecided], column, column + strip)
         differs = strip_a != strip_b
         has_diff = differs.any(axis=1)
         hit = np.nonzero(has_diff)[0]
@@ -1174,11 +1166,11 @@ def _merge_sorted_runs(
     if fresh_count == 0:
         collection = LeafCollection(kept_arrays, reference, presorted=True)
         old_keys = old_collection._search_keys
-        if old_keys is not None and old_collection._max_letter is not None:
+        if old_keys is not None:
             collection._seed_search_caches(
                 old_keys[kept_old_index],
                 old_collection._search_width,
-                old_collection._max_letter,
+                old_collection._key_dtype(),
             )
         return collection, np.arange(kept_count, dtype=np.int64)
     if kept_count == 0 or fresh_count > kept_count:
@@ -1189,13 +1181,10 @@ def _merge_sorted_runs(
     )
     # ``probe`` is *not* globally sorted — it only provides content access
     # (letters, packed keys, exact comparisons) over both blocks at once.
-    if probe._max_letter_code() + 1 >= 255:
-        return None
     old_keys = old_collection._search_keys
     if (
         old_keys is not None
-        and old_collection._max_letter is not None
-        and old_collection._max_letter + 1 < 255
+        and old_collection._key_dtype() == probe._key_dtype()
         and old_collection._search_width >= LeafCollection.PRESORT_PREFIX
     ):
         # Query-seeded keys can be narrower than the presort prefix (their
@@ -1205,13 +1194,11 @@ def _merge_sorted_runs(
         kept_keys = old_keys[kept_old_index]
     else:
         width = LeafCollection.PRESORT_PREFIX
-        kept_matrix = (
-            probe._content_matrix(np.arange(kept_count, dtype=np.int64), 0, width) + 1
-        ).astype(np.uint8)
-        kept_keys = np.ascontiguousarray(kept_matrix).view(f"S{width}")[:, 0]
+        kept_keys = _byte_keys(
+            probe._content_keys(np.arange(kept_count, dtype=np.int64), 0, width)
+        )
     fresh_rows = kept_count + np.arange(fresh_count, dtype=np.int64)
-    fresh_matrix = (probe._content_matrix(fresh_rows, 0, width) + 1).astype(np.uint8)
-    fresh_keys = np.ascontiguousarray(fresh_matrix).view(f"S{width}")[:, 0]
+    fresh_keys = _byte_keys(probe._content_keys(fresh_rows, 0, width))
     ranks = np.searchsorted(kept_keys, fresh_keys, side="left").astype(np.int64)
     upper = np.searchsorted(kept_keys, fresh_keys, side="right")
     ties = np.nonzero(upper > ranks)[0]
@@ -1242,7 +1229,7 @@ def _merge_sorted_runs(
     merged_keys = np.empty(merged_count, dtype=kept_keys.dtype)
     merged_keys[kept_target] = kept_keys
     merged_keys[fresh_target] = fresh_keys
-    collection._seed_search_caches(merged_keys, width, probe._max_letter_code())
+    collection._seed_search_caches(merged_keys, width, probe._key_dtype())
     return collection, kept_target
 
 
@@ -1325,8 +1312,7 @@ def _merge_collection(
                         np.min(old_lcps[previous_origin[row] + 1 : current_origin[row] + 1])
                     )
             seams = np.nonzero(~(adjacent | gap))[0]
-            for row in seams:
-                lcps[row + 1] = merged._leaf_lcp(int(row), int(row) + 1)
+            lcps[seams + 1] = merged._pair_lcps(seams, seams + 1)
         merged._cached_lcps = lcps
     # Carry the still-valid search caches over: kept rows keep their packed
     # byte keys, the inserted rows' keys are computed at the cached width.
@@ -1335,19 +1321,15 @@ def _merge_collection(
     if (
         merged._search_keys is None
         and old_keys is not None
-        and old_collection._max_letter is not None
-        and old_collection._max_letter + 1 < 255
+        and old_collection._key_dtype() == merged._key_dtype()
     ):
         width = old_collection._search_width
         fresh_slots = np.nonzero(origins < 0)[0]
-        fresh_matrix = (
-            merged._content_matrix(fresh_slots, 0, width) + 1
-        ).astype(np.uint8)
-        fresh_keys = np.ascontiguousarray(fresh_matrix).view(f"S{width}")[:, 0]
+        fresh_keys = _byte_keys(merged._content_keys(fresh_slots, 0, width))
         merged_keys = np.empty(merged_count, dtype=old_keys.dtype)
         merged_keys[kept_target] = old_keys[kept_old_index]
         merged_keys[fresh_slots] = fresh_keys
-        merged._seed_search_caches(merged_keys, width, merged._max_letter_code())
+        merged._seed_search_caches(merged_keys, width, merged._key_dtype())
     return merged
 
 
@@ -1561,7 +1543,7 @@ def apply_updates_to_data(
         slots = backward_order[
             np.searchsorted(backward_keys[backward_order], forward_keys)
         ]
-        pairs = list(zip(range(len(forward_keys)), slots.tolist()))
+        pairs = np.column_stack((np.arange(len(forward_keys), dtype=np.int64), slots))
     counters = dict(data.counters)
     counters["forward_leaves"] = len(forward)
     counters["backward_leaves"] = len(backward)

@@ -575,9 +575,7 @@ def _pack_body(index, arrays: dict, prefix: str) -> dict:
                 for name, array in collection.build_trie().to_arrays().items():
                     arrays[f"{prefix}{side}.trie.{name}"] = array
         if data.pairs is not None:
-            arrays[f"{prefix}pairs"] = np.array(data.pairs, dtype=np.int64).reshape(
-                len(data.pairs), 2
-            )
+            arrays[f"{prefix}pairs"] = np.asarray(data.pairs, dtype=np.int64).reshape(-1, 2)
         if data.construction == "estimation" and data.estimation is not None:
             _pack_estimation(arrays, prefix, data.estimation)
         grid_meta = None
@@ -682,8 +680,7 @@ def _unpack_minimizer(container: _Container, meta: dict, prefix: str, source, z:
     )
     pairs = None
     if meta.get("has_pairs"):
-        pairs_array = container.array(f"{prefix}pairs")
-        pairs = [(int(x), int(y)) for x, y in pairs_array]
+        pairs = container.array(f"{prefix}pairs")
     data = MinimizerIndexData(
         source=source,
         z=z,

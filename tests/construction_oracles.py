@@ -162,12 +162,7 @@ def reference_index_data(
     raw_forward, raw_backward, _ = reference_leaves(source, ell, scheme, estimation, heavy)
     forward = reference_collection(raw_forward, heavy.codes)
     backward = reference_collection(raw_backward, heavy.codes[::-1].copy())
-    pairs = list(
-        zip(
-            (int(x) for x in forward.raw_to_sorted),
-            (int(y) for y in backward.raw_to_sorted),
-        )
-    )
+    pairs = np.column_stack((forward.raw_to_sorted, backward.raw_to_sorted))
     return MinimizerIndexData(
         source=source,
         z=z,

@@ -19,7 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from construction_oracles import reference_index_data, reference_z_estimation
+from construction_oracles import (
+    reference_adjacent_lcps,
+    reference_index_data,
+    reference_z_estimation,
+)
 from test_differential_fuzz import (
     MODES,
     leaf_tuples,
@@ -155,7 +159,7 @@ def assert_same_leaf_data(old_data, new_data):
     assert leaf_tuples(old_data.backward) == leaf_tuples(new_data.backward)
     assert np.array_equal(old_data.forward.adjacent_lcps(), new_data.forward.adjacent_lcps())
     assert np.array_equal(old_data.backward.adjacent_lcps(), new_data.backward.adjacent_lcps())
-    assert old_data.pairs == new_data.pairs
+    assert np.array_equal(old_data.pairs, new_data.pairs)
     assert np.array_equal(old_data.forward.raw_to_sorted, new_data.forward.raw_to_sorted)
     assert np.array_equal(old_data.backward.raw_to_sorted, new_data.backward.raw_to_sorted)
 
@@ -231,11 +235,9 @@ def test_sort_parity_with_tiny_widening_limits(monkeypatch):
         assert_same_leaf_data(old_data, new_data)
 
 
-def test_sort_parity_beyond_byte_packing():
-    """Alphabets too wide for byte-packed keys use the int-column radix path."""
-    rng = np.random.default_rng(21)
-    sigma = 300
-    n = 60
+def wide_alphabet_source(sigma: int = 300, n: int = 60, seed: int = 21) -> WeightedString:
+    """A source whose letter codes do not fit one key byte (``>u2`` keys)."""
+    rng = np.random.default_rng(seed)
     alphabet = Alphabet([f"s{i}" for i in range(sigma)])
     matrix = np.zeros((n, sigma))
     matrix[np.arange(n), rng.integers(0, sigma, n)] = 1.0
@@ -243,12 +245,55 @@ def test_sort_parity_beyond_byte_packing():
     matrix[fuzzy] = 0.0
     matrix[fuzzy, rng.integers(0, sigma, int(fuzzy.sum()))] = 0.6
     matrix[fuzzy, rng.integers(0, sigma, int(fuzzy.sum()))] += 0.4
-    source = WeightedString(matrix, alphabet, normalize=True)
+    return WeightedString(matrix, alphabet, normalize=True)
+
+
+def test_sort_parity_beyond_byte_packing():
+    """Alphabets too wide for one-byte keys sort on big-endian ``>u2`` keys."""
+    source = wide_alphabet_source()
     z, ell = 3.0, 2
     old_data = reference_index_data(source, z, ell)
     new_data = ConstructionPipeline(source, z, ell=ell).index_data()
     assert len(new_data.forward) > 0
+    assert new_data.forward._key_dtype() == np.dtype(">u2")
     assert_same_leaf_data(old_data, new_data)
+
+
+LCP_CASES = [(entry[0], entry) for entry in SWEEP] + [
+    ("tiny-widening", ("degenerate", "degenerate", 90, 3, 4.0, 3, 31)),
+    ("sigma-300", None),
+]
+
+
+@pytest.mark.parametrize("case,entry", LCP_CASES, ids=[case for case, _ in LCP_CASES])
+def test_sort_and_presorted_lcps_match_oracle(monkeypatch, case, entry):
+    """Both LCP paths equal the pair-by-pair oracle.
+
+    A sorted collection takes its adjacent LCPs from the radix sort; a
+    ``presorted=True`` copy of it (how an update merge arrives) computes
+    them in :meth:`LeafCollection.adjacent_lcps`.  This pins the LCPs of
+    every estimation-built collection, the array kinds' included (their
+    LCPs are not persisted, so no golden digest covers them), through the
+    comparator fallback (tiny widening limits) and ``>u2`` keys (σ = 300).
+    """
+    from repro.indexes.minimizer_core import LeafCollection
+
+    if case == "tiny-widening":
+        monkeypatch.setattr(LeafCollection, "PRESORT_PREFIX", 2)
+        monkeypatch.setattr(LeafCollection, "SORT_WIDEN_LIMIT", 4)
+    if entry is None:
+        source, z, ell = wide_alphabet_source(), 3.0, 2
+    else:
+        _, style, n, sigma, z, ell, seed = entry
+        source = random_weighted_string(style, n, sigma, seed)
+    data = ConstructionPipeline(source, z, ell=ell).index_data()
+    for collection in (data.forward, data.backward):
+        expected = reference_adjacent_lcps(collection)
+        assert collection._cached_lcps is not None  # emitted by the sort
+        assert np.array_equal(collection.adjacent_lcps(), expected)
+        presorted = LeafCollection(collection.arrays, collection.reference, presorted=True)
+        assert presorted._cached_lcps is None
+        assert np.array_equal(presorted.adjacent_lcps(), expected)
 
 
 def test_merge_carries_search_caches():
