@@ -20,9 +20,9 @@ SHARDED      Any of the above, built per overlapping chunk in parallel and
 Construction goes through the central factory in :mod:`.registry`
 (:func:`build_index`, :class:`ConstructionPipeline`); built indexes persist
 through the binary store in :mod:`repro.io.store`.  Every query — any mode
-(``exists`` / ``count`` / ``locate`` / ``locate_probs`` / ``topk``), scalar
-or batched, on any variant — executes through the unified planner in
-:mod:`.query`; :mod:`repro.service` adds the cached serving layer on top.
+(``exists`` / ``count`` / ``locate`` / ``locate_probs`` / ``topk``), one
+pattern or a batch, on any variant — executes through the unified planner
+in :mod:`.query`; :mod:`repro.service` adds the cached serving layer on top.
 """
 
 from .base import (
@@ -32,9 +32,8 @@ from .base import (
     affected_pattern_starts,
     brute_force_occurrences,
     coerce_pattern,
-    coerce_pattern_array,
 )
-from .engine import BatchQueryEngine, locate_minimizer_batch
+from .engine import locate_minimizer_batch
 from .minimizer_core import (
     FactorLeaf,
     LeafCollection,
@@ -49,7 +48,14 @@ from .mwst import (
     MinimizerWST,
 )
 from .property_structures import PropertySuffixStructure
-from .query import ExecutionPlan, Query, QueryMode, QueryPlanner, QueryResult
+from .query import (
+    ExecutionPlan,
+    Query,
+    QueryMode,
+    QueryPlanner,
+    QueryResult,
+    coerce_pattern_array,
+)
 from .registry import (
     INDEX_CLASSES,
     REGISTRY,
@@ -79,7 +85,6 @@ __all__ = [
     "UpdateReport",
     "affected_pattern_starts",
     "rebuild_in_place",
-    "BatchQueryEngine",
     "locate_minimizer_batch",
     "brute_force_occurrences",
     "coerce_pattern",

@@ -17,7 +17,8 @@ import numpy as np
 
 from ..core.numerics import validate_threshold
 from ..core.weighted_string import WeightedString
-from ..errors import PatternError
+from ..errors import PatternError, QueryError
+from .query import Query, QueryPlanner, coerce_pattern_array
 from .space import IndexStats
 
 __all__ = [
@@ -25,62 +26,13 @@ __all__ = [
     "UpdateReport",
     "affected_pattern_starts",
     "coerce_pattern",
-    "coerce_pattern_array",
     "brute_force_occurrences",
     "EMPTY_PATTERN_MESSAGE",
 ]
 
-#: The one canonical complaint about empty patterns: scalar queries, batch
-#: queries and the brute-force oracle all raise ``PatternError`` with it.
+#: The one canonical complaint about empty patterns: every query entry point
+#: and the brute-force oracle raise ``PatternError`` with it.
 EMPTY_PATTERN_MESSAGE = "empty patterns are not supported"
-
-
-def coerce_pattern_array(
-    pattern, source: WeightedString, *, validate: bool = True
-) -> np.ndarray:
-    """Convert a pattern given as text or as letter codes into a code array.
-
-    This is the one conversion routine shared by the scalar query path and
-    the batch engine; ``validate=False`` skips the per-letter range check so
-    batch callers can validate a whole batch with a single reduction (they
-    re-run the validating path on failure to raise the canonical error).
-
-    Coercion itself is always strict: non-integral letter codes (``0.9``,
-    ``-0.5``, ``nan``) raise :class:`~repro.errors.PatternError` instead of
-    silently truncating to a *different* pattern's codes — truncation once
-    let an invalid pattern alias a valid one's cache key and be answered
-    that entry's result.
-    """
-    if isinstance(pattern, str):
-        codes = np.asarray(source.alphabet.encode(pattern), dtype=np.int64)
-    else:
-        if not isinstance(pattern, (list, tuple, np.ndarray)):
-            pattern = list(pattern)
-        raw = np.array(pattern, ndmin=1)
-        if raw.dtype == np.int64:
-            codes = raw
-        elif raw.dtype.kind in "iub":
-            codes = raw.astype(np.int64)
-        else:
-            try:
-                codes = raw.astype(np.int64)
-            except (TypeError, ValueError, OverflowError) as error:
-                raise PatternError(
-                    f"letter codes must be integers: {error}"
-                ) from error
-            if not np.array_equal(codes, raw):
-                raise PatternError(
-                    "letter codes must be integers; a non-integral code "
-                    "would silently truncate to a different pattern"
-                )
-    if validate and len(codes):
-        lowest, highest = int(codes.min()), int(codes.max())
-        if lowest < 0 or highest >= source.sigma:
-            offender = lowest if lowest < 0 else highest
-            raise PatternError(
-                f"letter code {offender} outside alphabet of size {source.sigma}"
-            )
-    return codes
 
 
 def coerce_pattern(pattern, source: WeightedString) -> list[int]:
@@ -154,14 +106,15 @@ class UncertainStringIndex(abc.ABC):
     """Abstract base class of every index over a weighted string.
 
     Concrete indexes are constructed through their ``build`` classmethods and
-    implement one required strategy — :meth:`_locate_codes`, the scalar query
-    over validated letter codes — plus optional vectorised strategies
-    (:meth:`_batch_locate`, :meth:`_batch_locate_probs`).  Every public query
-    entry point (:meth:`locate` / :meth:`count` / :meth:`exists` /
-    :meth:`locate_probs` / :meth:`topk` / :meth:`query` / :meth:`query_many`
-    / :meth:`match_many`) routes through the unified
-    :class:`~repro.indexes.query.QueryPlanner`, which validates patterns,
-    deduplicates them and picks a strategy.
+    implement one query hook — :meth:`_batch_locate`, which answers a list of
+    validated, distinct letter-code patterns — and may override
+    :meth:`_batch_locate_probs` to report probabilities straight out of
+    their verification stage.  Every public query entry point
+    (:meth:`locate` / :meth:`count` / :meth:`exists` / :meth:`locate_probs` /
+    :meth:`topk` / :meth:`query` / :meth:`query_many` / :meth:`match_many`)
+    routes through the unified :class:`~repro.indexes.query.QueryPlanner`,
+    which validates and deduplicates patterns and calls those hooks; a
+    single pattern is a batch of one.
     """
 
     #: Short display name used by the benchmark reports (e.g. ``"MWSA"``).
@@ -289,9 +242,6 @@ class UncertainStringIndex(abc.ABC):
         alongside a prebuilt Query are rejected — silently dropping an
         override would answer a different question than the caller asked.
         """
-        from ..errors import QueryError
-        from .query import Query, QueryPlanner
-
         if isinstance(request, Query):
             if options:
                 raise QueryError(
@@ -304,8 +254,6 @@ class UncertainStringIndex(abc.ABC):
 
     def query_many(self, requests: Sequence):
         """Answer a whole batch of queries/patterns through the planner."""
-        from .query import QueryPlanner
-
         return QueryPlanner(self).execute(requests)
 
     def locate(self, pattern) -> list[int]:
@@ -333,27 +281,16 @@ class UncertainStringIndex(abc.ABC):
     def match_many(self, patterns: Sequence) -> list[list[int]]:
         """Occurrence lists of a whole pattern batch, in input order.
 
-        Equivalent to ``[self.locate(p) for p in patterns]`` but routed
-        through the vectorised batch engine: duplicate patterns are answered
-        once, and index families with a batch strategy (``_batch_locate``)
-        verify whole candidate sets with array operations.
+        Equivalent to ``[self.locate(p) for p in patterns]``, but duplicate
+        patterns are answered once and the whole batch shares one call of
+        the batch hook.
         """
-        from .engine import BatchQueryEngine
+        return [result.positions for result in self.query_many(patterns)]
 
-        return BatchQueryEngine(self).match_many(patterns)
-
-    # -- query strategy hooks -----------------------------------------------------
+    # -- query hooks ---------------------------------------------------------------
     @abc.abstractmethod
-    def _locate_codes(self, codes) -> list[int]:
-        """Scalar query strategy (pattern already coerced and validated)."""
-
     def _batch_locate(self, code_lists: list) -> list[list[int]]:
-        """Batch query strategy hook (patterns already coerced and distinct).
-
-        The default answers each pattern through the scalar strategy; index
-        families override this with vectorised implementations.
-        """
-        return [self._locate_codes(codes) for codes in code_lists]
+        """Sorted occurrences of each pattern (already coerced, validated, distinct)."""
 
     def _batch_locate_probs(self, code_lists: list) -> list[tuple[list[int], np.ndarray]]:
         """Batch strategy that also reports exact occurrence probabilities.

@@ -1,82 +1,30 @@
-"""The vectorized batch query front-end and the minimizer batch strategy.
+"""The batch query strategy of the minimizer-based indexes.
 
-Serving heavy query traffic one pattern at a time leaves most of the work in
-Python-level loops: every pattern re-derives its minimizer, walks a search
-structure letter by letter and verifies each candidate with a per-position
-probability product.  The batch path vectorises all of it:
+Every query reaches an index through
+:class:`~repro.indexes.query.QueryPlanner`, which validates and deduplicates
+the patterns and hands them to the index's ``_batch_locate`` /
+``_batch_locate_probs`` hooks; a single pattern is a batch of one.  The
+minimizer indexes answer those hooks with :func:`locate_minimizer_batch`,
+which keeps every stage an array operation over the whole batch:
 
-* patterns are deduplicated once and answered once (shared candidate-dedup);
-* leftmost minimizers of the whole batch come from a single vectorised
-  argmin (:meth:`MinimizerScheme.leftmost_pattern_minimizers`);
+* leftmost minimizers of the batch come from a single vectorised argmin
+  (:meth:`MinimizerScheme.leftmost_pattern_minimizers`);
 * leaf ranges of all query pieces are found with two ``np.searchsorted``
-  calls over cached byte keys (:meth:`LeafCollection.prefix_range_many`);
+  calls over cached byte keys (:meth:`LeafCollection.prefix_range_many`) —
+  for the tree variants too, whose tries are the paper's index structure
+  (sized and persisted) but are not walked at query time;
 * candidate occurrence positions are gathered with array slices and verified
   in bulk through the source's log-probability cache, grouped by pattern
   length (:func:`~repro.indexes.verification.verify_candidate_batches`).
-
-:class:`BatchQueryEngine` is the compatibility front door (every
-:class:`~repro.indexes.base.UncertainStringIndex` exposes it as
-``index.match_many(patterns)``); since the planner/executor refactor it is a
-thin wrapper around :class:`~repro.indexes.query.QueryPlanner`, which owns
-validation, deduplication and strategy choice for *all* query modes.  Index
-families plug their batch strategies in through the ``_batch_locate`` /
-``_batch_locate_probs`` hooks (the minimizer indexes use
-:func:`locate_minimizer_batch` below; the WST/WSA baselines share the
-deduplication and loop their per-pattern query).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
-from .query import Query, QueryPlanner
 from .verification import verify_candidate_batches
 
-__all__ = ["BatchQueryEngine", "locate_minimizer_batch"]
-
-
-class BatchQueryEngine:
-    """Batched ``locate`` front-end over any uncertain-string index.
-
-    Kept as the stable entry point of the original batch API
-    (``match_many`` + :attr:`last_stats`); planning, validation and strategy
-    choice live in the shared :class:`~repro.indexes.query.QueryPlanner`,
-    so the engine answers exactly like ``index.query_many`` in ``locate``
-    mode.
-    """
-
-    def __init__(self, index) -> None:
-        self._planner = QueryPlanner(index)
-        self.last_stats: dict[str, int] = {}
-
-    @property
-    def index(self):
-        """The wrapped index."""
-        return self._planner.index
-
-    @property
-    def planner(self) -> QueryPlanner:
-        """The underlying query planner (rich statistics, all modes)."""
-        return self._planner
-
-    def match_many(self, patterns: Sequence) -> list[list[int]]:
-        """Occurrence lists of every pattern, in input order.
-
-        Each entry equals ``index.locate(pattern)`` exactly; invalid patterns
-        (empty, shorter than the index's minimum length, letters outside the
-        alphabet) raise the same :class:`~repro.errors.PatternError` the
-        per-pattern path raises.
-        """
-        results = self._planner.execute([Query(pattern) for pattern in patterns])
-        stats = self._planner.last_stats
-        self.last_stats = {
-            "patterns": stats["patterns"],
-            "unique_patterns": stats["unique_patterns"],
-            "generation": stats.get("generation", 0),
-        }
-        return [result.positions for result in results]
+__all__ = ["locate_minimizer_batch"]
 
 
 def locate_minimizer_batch(
@@ -92,63 +40,59 @@ def locate_minimizer_batch(
     surviving occurrence's exact probability product alongside its position
     (``(positions, probabilities)`` pairs instead of bare position lists).
     """
-    data = index.data
-    source = index.source
-    z = index.z
     if not code_lists:
         return []
-    arrays = [np.asarray(codes, dtype=np.int64) for codes in code_lists]
-    mus = [int(mu) for mu in data.scheme.leftmost_pattern_minimizers(arrays)]
-    # The forward piece reads rightward from the minimizer, the backward
-    # piece leftward (reversed); both are views, never copies.
-    forward_pieces = [arr[mu:] for arr, mu in zip(arrays, mus)]
-    backward_pieces = [arr[mu::-1] for arr, mu in zip(arrays, mus)]
+    data = index.data
+    mus = data.scheme.leftmost_pattern_minimizers(code_lists).tolist()
     candidates_per_row: list = [None] * len(code_lists)
 
     if index.use_grid:
-        forward_ranges = data.forward.prefix_range_many(forward_pieces)
-        backward_ranges = data.backward.prefix_range_many(backward_pieces)
+        # The forward piece reads rightward from the minimizer, the backward
+        # piece leftward (reversed); both are views, never copies.
+        forward_ranges = data.forward.prefix_range_many(
+            [codes[mu:] for codes, mu in zip(code_lists, mus)]
+        ).tolist()
+        backward_ranges = data.backward.prefix_range_many(
+            [codes[mu::-1] for codes, mu in zip(code_lists, mus)]
+        ).tolist()
         forward_positions = data.forward.positions
-        for row, mu in enumerate(mus):
-            flo, fhi = forward_ranges[row]
-            blo, bhi = backward_ranges[row]
+        for row, ((flo, fhi), (blo, bhi)) in enumerate(
+            zip(forward_ranges, backward_ranges)
+        ):
             if flo >= fhi or blo >= bhi:
                 continue
-            points = index._grid.report(int(flo), int(fhi), int(blo), int(bhi))
+            points = index._grid.report(flo, fhi, blo, bhi)
             if not points:
                 continue
             xs = np.fromiter((x for x, _ in points), dtype=np.int64, count=len(points))
-            candidates_per_row[row] = np.unique(forward_positions[xs] - mu)
-        return verify_candidate_batches(
-            source, z, code_lists, candidates_per_row,
-            with_probabilities=with_probabilities,
-        )
-
-    # Simple query: search only the longer piece of each pattern, batched per
-    # collection so each side is one vectorised range computation.
-    forward_rows = [
-        row
-        for row in range(len(arrays))
-        if len(forward_pieces[row]) >= len(backward_pieces[row])
-    ]
-    forward_row_set = set(forward_rows)
-    backward_rows = [
-        row for row in range(len(arrays)) if row not in forward_row_set
-    ]
-    for rows, collection, pieces in (
-        (forward_rows, data.forward, forward_pieces),
-        (backward_rows, data.backward, backward_pieces),
-    ):
-        if not rows:
-            continue
-        ranges = collection.prefix_range_many([pieces[row] for row in rows])
-        positions = collection.positions
-        for (lo, hi), row in zip(ranges, rows):
-            if lo < hi:
-                candidates_per_row[row] = np.unique(
-                    positions[int(lo) : int(hi)] - mus[row]
-                )
+            candidates_per_row[row] = np.unique(forward_positions[xs] - mus[row])
+    else:
+        # Simple query: search only the longer piece of each pattern, batched
+        # per collection so each side is one vectorised range computation.
+        forward_rows, forward_pieces, backward_rows, backward_pieces = [], [], [], []
+        for row, (codes, mu) in enumerate(zip(code_lists, mus)):
+            if len(codes) - mu >= mu + 1:
+                forward_rows.append(row)
+                forward_pieces.append(codes[mu:])
+            else:
+                backward_rows.append(row)
+                backward_pieces.append(codes[mu::-1])
+        for rows, pieces, collection in (
+            (forward_rows, forward_pieces, data.forward),
+            (backward_rows, backward_pieces, data.backward),
+        ):
+            if not rows:
+                continue
+            positions = collection.positions
+            ranges = collection.prefix_range_many(pieces).tolist()
+            for row, (lo, hi) in zip(rows, ranges):
+                if lo < hi:
+                    candidates = positions[lo:hi] - mus[row]
+                    # One leaf gives one start; only more need deduplicating.
+                    candidates_per_row[row] = (
+                        np.unique(candidates) if hi - lo > 1 else candidates
+                    )
     return verify_candidate_batches(
-        source, z, code_lists, candidates_per_row,
+        index.source, index.z, code_lists, candidates_per_row,
         with_probabilities=with_probabilities,
     )

@@ -20,7 +20,7 @@ that fits (``u1``, else big-endian ``>u2``/``>u4``), so one memcmp-ordered
 argsorts over those keys (radix-style), widening the window only for the
 rows still tied, and records each adjacent pair's LCP in the round that
 separates it — the trie LCPs fall out of the sort.  :class:`FactorLeaf`
-objects are lazy views materialised on demand (tests, scalar query paths).
+objects are lazy views materialised on demand (tests, inspection).
 
 This module provides:
 
@@ -761,28 +761,34 @@ class LeafCollection:
         ranges = np.zeros((len(pieces), 2), dtype=np.int64)
         if not pieces or not len(self._arrays):
             return ranges
-        width = min(max(len(piece) for piece in pieces), self.SEARCH_PREFIX_LIMIT)
-        keys = self._batch_search_keys(width)
-        effective_width = self._search_width
+        lengths = [len(piece) for piece in pieces]
+        keys = self._batch_search_keys(min(max(lengths), self.SEARCH_PREFIX_LIMIT))
+        width = self._search_width
         dtype = self._key_dtype()
-        sentinel = np.iinfo(dtype).max
-        low_queries = np.zeros((len(pieces), effective_width), dtype=dtype)
-        high_queries = np.full((len(pieces), effective_width), sentinel, dtype=dtype)
+        sentinel = (1 << (8 * dtype.itemsize)) - 1
+        # Query heads in key form: codes +1, 0 past the piece's end.
+        count = len(pieces)
+        heads = np.full((count, width), -1, dtype=np.int64)
         for row, piece in enumerate(pieces):
-            head = np.asarray(piece[:effective_width], dtype=np.int64) + 1
-            # Codes above every leaf letter saturate at the sentinel: they can
-            # never equal a leaf letter, and the sentinel is greater than
-            # every leaf key, so the order is preserved.
-            head = np.minimum(head, sentinel)
-            low_queries[row, : len(head)] = head
-            high_queries[row, : len(head)] = head
-        ranges[:, 0] = np.searchsorted(keys, _byte_keys(low_queries), side="left")
-        ranges[:, 1] = np.searchsorted(keys, _byte_keys(high_queries), side="right")
-        for row, piece in enumerate(pieces):
-            if len(piece) > effective_width:
-                ranges[row] = self.prefix_range(
-                    piece, lo=int(ranges[row, 0]), hi=int(ranges[row, 1])
-                )
+            head = piece[:width]
+            heads[row, : len(head)] = head
+        heads += 1
+        # Rows [0, count) are the lower bounds; rows [count, 2 count) pad
+        # with the sentinel instead of 0 to give the upper bounds.  Codes
+        # above every leaf letter saturate at the sentinel: they can never
+        # equal a leaf letter, and the sentinel is greater than every leaf
+        # key, so the order is preserved.
+        bounds = np.empty((2 * count, width), dtype=dtype)
+        bounds[:count] = np.minimum(heads, sentinel)
+        bounds[count:] = bounds[:count]
+        bounds[count:][heads == 0] = sentinel
+        bound_keys = _byte_keys(bounds)
+        ranges[:, 0] = np.searchsorted(keys, bound_keys[:count], side="left")
+        ranges[:, 1] = np.searchsorted(keys, bound_keys[count:], side="right")
+        for row, length in enumerate(lengths):
+            if length > width:
+                lo, hi = ranges[row].tolist()
+                ranges[row] = self.prefix_range(pieces[row], lo=lo, hi=hi)
         return ranges
 
     # -- trie ------------------------------------------------------------------------------
@@ -897,24 +903,6 @@ class MinimizerIndexData:
     #: space-efficient construction and for store-loaded data, which repair
     #: through a full rebuild instead.
     estimation: ZEstimation | None = None
-
-    # -- query plumbing shared by all variants ------------------------------------------
-    def split_pattern(self, codes, mu: int | None = None) -> tuple[int, list[int], list[int]]:
-        """Leftmost minimizer and the two query pieces (forward, backward).
-
-        ``mu`` may be passed in when it was already computed (the batch
-        engine computes the minimizers of a whole pattern batch at once).
-        """
-        if mu is None:
-            mu = self.scheme.leftmost_pattern_minimizer(codes)
-        forward_piece = [int(code) for code in codes[mu:]]
-        backward_piece = [int(code) for code in reversed(codes[: mu + 1])]
-        return mu, forward_piece, backward_piece
-
-    def candidate_positions(self, leaf_indices, collection: LeafCollection, mu: int):
-        """Candidate occurrence starts derived from matched leaves."""
-        positions = collection.positions
-        return {int(positions[index]) - mu for index in leaf_indices}
 
     def size_bytes(
         self,

@@ -3,9 +3,12 @@
 All four variants share the :class:`MinimizerIndexData` built in
 :mod:`repro.indexes.minimizer_core`; they differ in
 
-* how the leaf collections are searched — the tree variants (MWST*) walk a
-  compacted trie, the array variants (MWSA*) binary-search the sorted leaf
-  arrays (exactly the suffix-tree vs suffix-array trade-off of the paper);
+* how the leaf collections are stored — the tree variants (MWST*) add a
+  compacted trie over the sorted leaves, the array variants (MWSA*) keep
+  only the sorted leaf arrays (exactly the suffix-tree vs suffix-array
+  trade-off of the paper, and what the index-size figures charge).  Every
+  variant finds its leaf ranges with the same sorted byte-key search
+  (:meth:`~repro.indexes.minimizer_core.LeafCollection.prefix_range_many`);
 * how candidates are generated — the plain variants use the simple,
   practically fast query of Section 5 (match the longer pattern piece, then
   verify every candidate), the *-G* variants implement the Theorem 9 query
@@ -28,7 +31,6 @@ from .base import UncertainStringIndex
 from .engine import locate_minimizer_batch
 from .minimizer_core import MinimizerIndexData, build_index_data_from_estimation
 from .space import DEFAULT_SPACE_MODEL, ConstructionTracker, IndexStats, SpaceModel
-from .verification import verify_against_source
 
 __all__ = [
     "MinimizerIndexBase",
@@ -43,7 +45,7 @@ class MinimizerIndexBase(UncertainStringIndex):
     """Shared implementation of the four minimizer-based index variants."""
 
     name = "MWST"
-    #: Tree variants walk compacted tries; array variants binary-search leaves.
+    #: Tree variants also store compacted tries over their leaves (sized, persisted).
     use_trie = True
     #: Grid variants intersect both pattern pieces through the 2D grid.
     use_grid = False
@@ -63,11 +65,6 @@ class MinimizerIndexBase(UncertainStringIndex):
         self._grid_brute_force_limit: int | None = (
             grid.brute_force_limit if grid is not None else None
         )
-        self._forward_trie = None
-        self._backward_trie = None
-        if self.use_trie:
-            self._forward_trie = data.forward.build_trie()
-            self._backward_trie = data.backward.build_trie()
 
     # -- construction -----------------------------------------------------------------
     @classmethod
@@ -148,10 +145,6 @@ class MinimizerIndexBase(UncertainStringIndex):
             return super()._rebuild_updated(positions)
         data, details = outcome
         self._data = data
-        self._forward_trie = self._backward_trie = None
-        if self.use_trie:
-            self._forward_trie = data.forward.build_trie()
-            self._backward_trie = data.backward.build_trie()
         self._grid = (
             Grid2D(data.pairs, brute_force_limit=self._grid_brute_force_limit)
             if self.use_grid
@@ -179,39 +172,6 @@ class MinimizerIndexBase(UncertainStringIndex):
     def grid(self) -> Grid2D | None:
         """The 2D range-reporting grid (grid variants only)."""
         return self._grid
-
-    def _range(self, collection, trie, piece) -> tuple[int, int]:
-        if self.use_trie and trie is not None:
-            return trie.descend(piece)
-        return collection.prefix_range(piece)
-
-    def _candidates(self, codes) -> set[int]:
-        data = self._data
-        mu, forward_piece, backward_piece = data.split_pattern(codes)
-        if self.use_grid:
-            flo, fhi = self._range(data.forward, self._forward_trie, forward_piece)
-            blo, bhi = self._range(data.backward, self._backward_trie, backward_piece)
-            if flo >= fhi or blo >= bhi:
-                return set()
-            points = self._grid.report(flo, fhi, blo, bhi)
-            forward_positions = data.forward.positions
-            return {int(forward_positions[x]) - mu for x, _ in points}
-        # Simple query (Section 5): search only the longer piece, verify later.
-        if len(forward_piece) >= len(backward_piece):
-            lo, hi = self._range(data.forward, self._forward_trie, forward_piece)
-            return data.candidate_positions(range(lo, hi), data.forward, mu)
-        lo, hi = self._range(data.backward, self._backward_trie, backward_piece)
-        return data.candidate_positions(range(lo, hi), data.backward, mu)
-
-    def _locate_codes(self, codes) -> list[int]:
-        """Scalar strategy: candidate generation + per-candidate verification."""
-        results = []
-        for candidate in self._candidates(codes):
-            if candidate < 0 or candidate + len(codes) > len(self._source):
-                continue
-            if verify_against_source(self._source, codes, candidate, self._z):
-                results.append(candidate)
-        return sorted(results)
 
     def _batch_locate(self, code_lists: list) -> list[list[int]]:
         """Vectorised batch strategy shared by all minimizer variants."""

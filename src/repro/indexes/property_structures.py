@@ -128,7 +128,7 @@ class PropertySuffixStructure:
         """Batched :meth:`locate` (one structure pass per distinct pattern).
 
         The suffix-array interval search is inherently per-pattern; the batch
-        entry point exists so the baselines plug into the shared batch engine
-        (pattern dedup happens upstream) with one call.
+        entry point is the WSA's query hook (pattern dedup happens upstream
+        in the planner).
         """
         return [self.locate(pattern) for pattern in patterns]

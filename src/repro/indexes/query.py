@@ -1,10 +1,7 @@
 """The query model and the unified planner/executor of every index variant.
 
-Historically each index answered exactly one query shape — ``locate``, the
-sorted z-valid occurrence positions — through its own scalar loop, while the
-batch engine, the sharded fan-out and the CLI each re-implemented the
-validate / deduplicate / dispatch steps around it.  This module replaces all
-of that with one pipeline:
+Every query — one pattern or a batch, any mode, monolithic or sharded
+index — runs through one pipeline:
 
 * :class:`Query` describes a request: a pattern, a :class:`QueryMode`
   (``exists`` / ``count`` / ``locate`` / ``locate_probs`` / ``topk``), an
@@ -14,13 +11,13 @@ of that with one pipeline:
   their exact occurrence probabilities, which the verification stage used to
   compute and throw away;
 * :class:`QueryPlanner` turns a batch of queries into an
-  :class:`ExecutionPlan` (coerce + validate once, deduplicate patterns,
-  choose the scalar or batch strategy — the sharded index's strategies fan
-  out across its shards) and executes it through the index's
-  ``_locate_codes`` / ``_batch_locate`` / ``_batch_locate_probs`` hooks.
+  :class:`ExecutionPlan` (coerce + validate once, deduplicate patterns) and
+  executes it through the index's ``_batch_locate`` /
+  ``_batch_locate_probs`` hooks — the one query path of every variant; a
+  single pattern is a batch of one, and the sharded index fans the hooks
+  out across its shards.
 
-Exactness contract: ``locate`` positions are bit-identical to the historical
-per-variant query loops (the planner calls the very same strategies), and
+Exactness contract: ``locate`` positions equal the brute-force oracle's, and
 every reported probability equals the brute-force left-to-right ``float64``
 product ``p(P[0]) · p(P[1]) · ...`` exactly (see
 :func:`~repro.indexes.verification.exact_occurrence_products`).
@@ -40,10 +37,65 @@ from enum import Enum
 import numpy as np
 
 from ..core.numerics import solid_probability_mask, validate_threshold
+from ..core.weighted_string import WeightedString
 from ..errors import PatternError, QueryError
-from .base import coerce_pattern_array
 
-__all__ = ["QueryMode", "Query", "QueryResult", "ExecutionPlan", "QueryPlanner"]
+__all__ = [
+    "QueryMode",
+    "Query",
+    "QueryResult",
+    "ExecutionPlan",
+    "QueryPlanner",
+    "coerce_pattern_array",
+]
+
+
+def coerce_pattern_array(
+    pattern, source: WeightedString, *, validate: bool = True
+) -> np.ndarray:
+    """Convert a pattern given as text or as letter codes into a code array.
+
+    This is the one conversion routine of every query path; ``validate=False``
+    skips the per-letter range check so the planner can validate a whole
+    batch with a single reduction (it re-runs the validating path on failure
+    to raise the canonical error).
+
+    Coercion itself is always strict: non-integral letter codes (``0.9``,
+    ``-0.5``, ``nan``) raise :class:`~repro.errors.PatternError` instead of
+    silently truncating to a *different* pattern's codes — truncation once
+    let an invalid pattern alias a valid one's cache key and be answered
+    that entry's result.
+    """
+    if isinstance(pattern, str):
+        codes = np.asarray(source.alphabet.encode(pattern), dtype=np.int64)
+    else:
+        if not isinstance(pattern, (list, tuple, np.ndarray)):
+            pattern = list(pattern)
+        raw = np.array(pattern, ndmin=1)
+        if raw.dtype == np.int64:
+            codes = raw
+        elif raw.dtype.kind in "iub":
+            codes = raw.astype(np.int64)
+        else:
+            try:
+                codes = raw.astype(np.int64)
+            except (TypeError, ValueError, OverflowError) as error:
+                raise PatternError(
+                    f"letter codes must be integers: {error}"
+                ) from error
+            if not np.array_equal(codes, raw):
+                raise PatternError(
+                    "letter codes must be integers; a non-integral code "
+                    "would silently truncate to a different pattern"
+                )
+    if validate and len(codes):
+        lowest, highest = int(codes.min()), int(codes.max())
+        if lowest < 0 or highest >= source.sigma:
+            offender = lowest if lowest < 0 else highest
+            raise PatternError(
+                f"letter code {offender} outside alphabet of size {source.sigma}"
+            )
+    return codes
 
 
 class QueryMode(str, Enum):
@@ -156,12 +208,10 @@ class QueryResult:
 
 @dataclass
 class ExecutionPlan:
-    """A validated, deduplicated batch of queries with a chosen strategy.
+    """A validated, deduplicated batch of queries.
 
-    ``strategy`` is ``"scalar"`` (a single distinct pattern answered through
-    the index's scalar query path) or ``"batch"`` (the vectorised batch
-    strategy); ``fan_out`` records whether the index distributes either
-    strategy across shards.  ``assignment[i]`` maps query ``i`` to its slot
+    ``fan_out`` records whether the index distributes the batch hooks
+    across shards.  ``assignment[i]`` maps query ``i`` to its slot
     in ``unique_codes``; ``z_values[i]`` lists the effective thresholds the
     query must be answered at; ``probability_slots`` are the unique-pattern
     slots referenced by at least one probability-reporting query (only those
@@ -174,7 +224,6 @@ class ExecutionPlan:
     assignment: list[int]
     z_values: list[tuple[float, ...]]
     probability_slots: frozenset[int]
-    strategy: str
     fan_out: bool
 
 
@@ -182,8 +231,8 @@ class QueryPlanner:
     """Plans and executes query batches over one index.
 
     Every public query entry point of the library —
-    ``UncertainStringIndex.locate/count/exists/query/query_many``,
-    ``BatchQueryEngine.match_many`` and the serving layer's
+    ``UncertainStringIndex.locate/count/exists/query/query_many/match_many``
+    and the serving layer's
     :class:`~repro.service.QueryService` — funnels through this class, so
     every variant (monolithic or sharded, freshly built or store-loaded)
     validates, deduplicates and answers queries identically.
@@ -200,12 +249,12 @@ class QueryPlanner:
 
     # -- planning ---------------------------------------------------------------
     def plan(self, queries: Sequence) -> ExecutionPlan:
-        """Validate and deduplicate ``queries`` and choose a strategy.
+        """Validate and deduplicate ``queries``.
 
         Entries may be :class:`Query` objects or bare patterns (answered in
-        ``locate`` mode).  Pattern validation mirrors the scalar path's
-        ``_prepare_pattern`` exactly — including its error messages — but
-        costs one concatenated min/max reduction for the whole batch.
+        ``locate`` mode).  Pattern validation raises the index's
+        ``_prepare_pattern`` errors exactly, but costs one concatenated
+        min/max reduction for the whole batch.
         """
         index = self._index
         normalized = [
@@ -249,7 +298,6 @@ class QueryPlanner:
             for position, query in enumerate(normalized)
             if query.mode in _PROBABILITY_MODES
         )
-        strategy = "scalar" if len(unique_codes) == 1 else "batch"
         fan_out = bool(getattr(index, "shard_indexes", None))
         return ExecutionPlan(
             queries=normalized,
@@ -258,32 +306,31 @@ class QueryPlanner:
             assignment=assignment,
             z_values=z_values,
             probability_slots=probability_slots,
-            strategy=strategy,
             fan_out=fan_out,
         )
 
     def _validate_patterns(self, prepared: list[np.ndarray]) -> None:
         """Whole-batch validation with the canonical per-pattern errors.
 
-        The happy path costs one concatenation and one min/max reduction;
-        when anything is invalid, every pattern is re-validated through the
-        index's scalar ``_prepare_pattern`` so the raised
-        :class:`~repro.errors.PatternError` is identical to the scalar
-        path's.
+        The happy path costs one concatenation and one max reduction; when
+        anything is invalid, every pattern is re-validated through the
+        index's ``_prepare_pattern`` so the raised
+        :class:`~repro.errors.PatternError` names the first offending
+        pattern.
         """
+        if not prepared:
+            return
         index = self._index
-        minimum = max(1, index.minimum_pattern_length)
         maximum = index.maximum_pattern_length
-        valid = all(
-            len(codes) >= minimum and (maximum is None or len(codes) <= maximum)
-            for codes in prepared
+        lengths = [len(codes) for codes in prepared]
+        valid = min(lengths) >= max(1, index.minimum_pattern_length) and (
+            maximum is None or max(lengths) <= maximum
         )
-        if valid and prepared:
-            flat = np.concatenate(prepared)
-            if len(flat) and (
-                int(flat.min()) < 0 or int(flat.max()) >= index.source.sigma
-            ):
-                valid = False
+        if valid:
+            flat = prepared[0] if len(prepared) == 1 else np.concatenate(prepared)
+            # Read as unsigned, a negative code is huge: one maximum checks
+            # both ends of the alphabet.
+            valid = int(np.maximum.reduce(flat.view(np.uint64))) < index.source.sigma
         if not valid:
             for codes in prepared:  # raise the canonical per-pattern error
                 index._prepare_pattern(codes)
@@ -322,7 +369,6 @@ class QueryPlanner:
             "patterns": len(plan.queries),
             "unique_patterns": len(plan.unique_codes),
             "subqueries": subqueries,
-            "strategy": plan.strategy,
             "fan_out": plan.fan_out,
             # Which state of a mutable index answered this batch — lets the
             # serving layer correlate answers with applied update batches.
@@ -334,9 +380,7 @@ class QueryPlanner:
         """Occurrences (and probabilities, when needed) of every distinct pattern.
 
         All answers are computed at the *index's* threshold; per-query
-        overrides filter them in :meth:`_assemble`.  The scalar strategy goes
-        through the index's scalar query path, the batch strategy through its
-        vectorised hook; both return identical values.  Exact probability
+        overrides filter them in :meth:`_assemble`.  Exact probability
         products are computed only for the slots a probability-reporting
         query actually references — a single ``topk`` in a large ``locate``
         batch does not tax the rest of the batch.
@@ -346,15 +390,6 @@ class QueryPlanner:
         if not unique:
             return []
         probability_slots = plan.probability_slots
-        if plan.strategy == "scalar":
-            positions = np.asarray(index._locate_codes(unique[0]), dtype=np.int64)
-            if probability_slots:
-                from .verification import exact_occurrence_products
-
-                return [
-                    (positions, exact_occurrence_products(index.source, unique[0], positions))
-                ]
-            return [(positions, None)]
         base: list = [None] * len(unique)
         with_probs = sorted(probability_slots)
         plain = [slot for slot in range(len(unique)) if slot not in probability_slots]
@@ -397,15 +432,12 @@ class QueryPlanner:
             pattern=query.pattern, mode=mode, z=z, count=count, exists=exists
         )
         if mode is QueryMode.LOCATE:
-            result.positions = [int(position) for position in positions]
+            result.positions = positions.tolist()
         elif mode is QueryMode.LOCATE_PROBS:
-            result.positions = [int(position) for position in positions]
-            result.probabilities = [float(value) for value in probabilities]
+            result.positions = positions.tolist()
+            result.probabilities = probabilities.tolist()
         elif mode is QueryMode.TOPK:
-            if count:
-                order = np.lexsort((positions, -probabilities))[: query.k]
-            else:
-                order = np.array([], dtype=np.int64)
-            result.positions = [int(positions[i]) for i in order]
-            result.probabilities = [float(probabilities[i]) for i in order]
+            order = np.lexsort((positions, -probabilities))[: query.k]
+            result.positions = positions[order].tolist()
+            result.probabilities = probabilities[order].tolist()
         return result

@@ -35,6 +35,10 @@ __all__ = [
     "HeavyMismatchVerifier",
 ]
 
+#: The (read-only) probability array of a pattern without occurrences.
+_NO_PROBABILITIES = np.zeros(0, dtype=np.float64)
+_NO_PROBABILITIES.setflags(write=False)
+
 
 def exact_occurrence_products(
     source: WeightedString, pattern: Sequence[int], positions
@@ -111,8 +115,8 @@ def verify_candidate_batches(
     positions.  Patterns of equal length share one fancy-indexing gather
     over the source's log-probability cache, so the number of NumPy
     dispatches scales with the number of distinct pattern lengths, not with
-    the batch size.  This is the bulk engine behind
-    :meth:`UncertainStringIndex.match_many`;
+    the batch size.  Every minimizer-index query verifies through it (a
+    single pattern is a batch of one);
     :func:`verify_candidates_against_source` is its one-pattern sibling.
 
     With ``with_probabilities=True`` each entry becomes a
@@ -127,44 +131,38 @@ def verify_candidate_batches(
     """
     z = validate_threshold(z)
     results: list[list[int]] = [[] for _ in patterns]
-    probabilities_out: list[np.ndarray] = [
-        np.zeros(0, dtype=np.float64) for _ in patterns
-    ]
+    probabilities_out: list[np.ndarray] = [_NO_PROBABILITIES] * len(patterns)
     by_length: dict[int, list[int]] = {}
     for row, candidates in enumerate(candidates_per_pattern):
         if candidates is not None and len(candidates):
             by_length.setdefault(len(patterns[row]), []).append(row)
     n = len(source)
-    log_matrix = source.log_matrix
     for m, rows in by_length.items():
         if m > n:
             continue  # every candidate overhangs the string: nothing is valid
-        sizes = np.array([len(candidates_per_pattern[row]) for row in rows])
-        starts = np.concatenate([candidates_per_pattern[row] for row in rows])
-        pattern_of = np.repeat(np.arange(len(rows), dtype=np.int64), sizes)
-        pattern_matrix = np.array([patterns[row] for row in rows], dtype=np.int64)
-        in_range = (starts >= 0) & (starts + m <= n)
-        safe_starts = np.where(in_range, starts, 0)
-        offsets = np.arange(m, dtype=np.int64)
-        letter_rows = safe_starts[:, None] + offsets[None, :]
-        letter_columns = pattern_matrix[pattern_of]
-        gathered = log_matrix[letter_rows, letter_columns]
+        groups = [candidates_per_pattern[row] for row in rows]
+        sizes = [len(group) for group in groups]
+        starts = np.concatenate(groups)
+        letter_columns = np.repeat(
+            np.array([patterns[row] for row in rows], dtype=np.int64), sizes, axis=0
+        )
+        in_range = (starts >= 0) & (starts <= n - m)
+        letter_rows = np.where(in_range, starts, 0)[:, None] + np.arange(m)
+        gathered = source.log_matrix[letter_rows, letter_columns]
         probabilities = np.exp(gathered.sum(axis=1))
         solid = solid_probability_mask(probabilities, z) & in_range
         if with_probabilities:
             products = np.multiply.reduce(
                 source.matrix[letter_rows, letter_columns], axis=1
             )
-        boundaries = np.cumsum(sizes)[:-1]
-        split_products = (
-            np.split(products, boundaries) if with_probabilities else None
-        )
-        for group, (row, row_starts, row_solid) in enumerate(
-            zip(rows, np.split(starts, boundaries), np.split(solid, boundaries))
-        ):
-            results[row] = [int(position) for position in row_starts[row_solid]]
+        # Slice each pattern's share of the group by its offset.
+        end = 0
+        for row, size in zip(rows, sizes):
+            begin, end = end, end + size
+            keep = solid[begin:end]
+            results[row] = starts[begin:end][keep].tolist()
             if with_probabilities:
-                probabilities_out[row] = split_products[group][row_solid]
+                probabilities_out[row] = products[begin:end][keep]
     if with_probabilities:
         return list(zip(results, probabilities_out))
     return results

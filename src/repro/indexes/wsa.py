@@ -89,12 +89,8 @@ class WeightedSuffixArray(UncertainStringIndex):
         return model.words(4 * entries) + model.codes(entries)
 
     # -- queries -------------------------------------------------------------------------
-    def _locate_codes(self, codes) -> list[int]:
-        """Scalar strategy: one binary-searched structure pass."""
-        return self._structure.locate(codes)
-
     def _batch_locate(self, code_lists: list) -> list[list[int]]:
-        """Batch strategy: deduplicated patterns share one structure pass each."""
+        """One binary-searched structure pass per (deduplicated) pattern."""
         return self._structure.locate_many(code_lists)
 
     @property

@@ -122,14 +122,16 @@ class WeightedSuffixTree(UncertainStringIndex):
         )
 
     # -- queries -------------------------------------------------------------------------
-    def _locate_codes(self, codes) -> list[int]:
-        """Scalar strategy: one trie walk plus the output-sensitive report."""
-        shifted = [int(code) + 1 for code in codes]
-        lo, hi = self._trie.descend(shifted)
-        reported = np.asarray(
-            self._structure.report_valid(lo, hi, len(codes)), dtype=np.int64
-        )
-        return [int(position) for position in np.unique(reported)]
+    def _batch_locate(self, code_lists: list) -> list[list[int]]:
+        """One trie walk plus the output-sensitive report per pattern."""
+        answers = []
+        for codes in code_lists:
+            lo, hi = self._trie.descend([int(code) + 1 for code in codes])
+            reported = np.asarray(
+                self._structure.report_valid(lo, hi, len(codes)), dtype=np.int64
+            )
+            answers.append([int(position) for position in np.unique(reported)])
+        return answers
 
     @property
     def node_count(self) -> int:

@@ -75,8 +75,6 @@ __all__ = [
     "load_sharded_store",
     "refresh_sharded_store",
     "reload_sharded_store",
-    "append_update_log",
-    "read_update_log",
     "compact_store",
     "append_wal",
     "read_wal",
@@ -87,7 +85,6 @@ __all__ = [
     "STORE_VERSION",
     "SHARDED_STORE_FORMAT",
     "SHARDED_STORE_VERSION",
-    "UPDATE_LOG_NAME",
     "WAL_NAME",
 ]
 
@@ -103,7 +100,6 @@ SHARDED_STORE_FORMAT = "repro.sharded_store"
 SHARDED_STORE_VERSION = 1
 _SHARDED_SUPPORTED_VERSIONS = (1,)
 _MANIFEST_NAME = "manifest.json"
-UPDATE_LOG_NAME = "update-log.jsonl"
 WAL_NAME = "wal.log"
 
 #: WAL record frame: payload byte length + CRC32 of the payload.
@@ -996,41 +992,6 @@ def refresh_sharded_store(directory, index, *, generation_names: bool = False) -
     }
 
 
-def append_update_log(directory, entry: dict) -> None:
-    """Append one JSON line to a directory store's ``update-log.jsonl``.
-
-    The log records what update batches a long-lived store absorbed (CLI
-    ``update`` runs, serving-layer refreshes) — enough to audit why shard
-    files accumulated ``.g*`` generations.  :func:`compact_store` truncates
-    it once those generations are folded back into canonical files.
-    """
-    path = Path(directory) / UPDATE_LOG_NAME
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
-
-
-def read_update_log(directory) -> list[dict]:
-    """All entries of a directory store's update log (empty when absent)."""
-    path = Path(directory) / UPDATE_LOG_NAME
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError:
-        return []
-    entries = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entries.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise StoreCorruptionError(
-                path, "update-log", f"has a corrupt line: {exc}"
-            ) from exc
-    return entries
-
-
 # --------------------------------------------------------------------------- #
 # write-ahead log + crash recovery                                             #
 # --------------------------------------------------------------------------- #
@@ -1377,13 +1338,13 @@ def compact_store(directory) -> dict:
     """Fold a directory store back to its canonical, generation-free layout.
 
     Long-lived stores accumulate generation-stamped shard files
-    (``shard-0002.g7.idx``) and update-log entries.  Compaction rewrites
-    every *moved* shard under its canonical name (``shard-0002.idx``) with
-    its generation stamp reset to 0, removes superseded shard files, and
-    truncates the update log and WAL; shards already canonical at
-    generation 0 are left byte-untouched.  Query results are byte-identical
-    before and after — only the file layout changes.  Returns
-    ``{"shards": count, "removed": [...], "log_entries_cleared": count}``.
+    (``shard-0002.g7.idx``) and WAL records.  Compaction rewrites every
+    *moved* shard under its canonical name (``shard-0002.idx``) with its
+    generation stamp reset to 0, removes superseded shard files, and
+    deletes the WAL; shards already canonical at generation 0 are left
+    byte-untouched.  Query results are byte-identical before and after —
+    only the file layout changes.  Returns
+    ``{"shards": count, "removed": [...]}``.
 
     Compaction refuses to run on a store that fails :func:`verify_store`
     (e.g. one left dirty by a crashed refresh): unlinking generation files
@@ -1421,18 +1382,10 @@ def compact_store(directory) -> dict:
             path.unlink()
             failpoint("store.compact.unlink")
             removed.append(path.name)
-    cleared = len(read_update_log(directory))
-    log_path = directory / UPDATE_LOG_NAME
-    if log_path.exists():
-        log_path.unlink()
     wal_path = directory / WAL_NAME
     if wal_path.exists():
         wal_path.unlink()
-    return {
-        "shards": len(canonical),
-        "removed": removed,
-        "log_entries_cleared": cleared,
-    }
+    return {"shards": len(canonical), "removed": removed}
 
 
 def _assemble_sharded(manifest: dict, shards, indexes, generations):

@@ -197,32 +197,24 @@ class MinimizerScheme:
         values = self.order_values(kmers)
         return int(np.argmin(values))
 
-    def leftmost_pattern_minimizer(self, pattern: Sequence[int]) -> int:
-        """Minimizer offset of the first window of a pattern of length ≥ ℓ."""
-        if len(pattern) < self.ell:
-            raise ReproError(
-                f"pattern of length {len(pattern)} is shorter than ell={self.ell}"
-            )
-        return self.window_minimizer(pattern)
-
     def leftmost_pattern_minimizers(self, patterns: Sequence[Sequence[int]]) -> np.ndarray:
-        """Vectorised :meth:`leftmost_pattern_minimizer` over a pattern batch.
+        """Minimizer offset of the first window of each pattern (length ≥ ℓ).
 
         Only the first ℓ letters of each pattern matter, so the batch is
         packed into a ``(B × ℓ)`` matrix and all minimizer offsets are
         computed with a single argmin.
         """
+        ell = self.ell
+        for pattern in patterns:
+            if len(pattern) < ell:
+                raise ReproError(
+                    f"pattern of length {len(pattern)} is shorter than ell={ell}"
+                )
         if len(patterns) == 0:
             return np.empty(0, dtype=np.int64)
-        windows = np.empty((len(patterns), self.ell), dtype=np.int64)
-        for row, pattern in enumerate(patterns):
-            if len(pattern) < self.ell:
-                raise ReproError(
-                    f"pattern of length {len(pattern)} is shorter than ell={self.ell}"
-                )
-            windows[row] = np.asarray(pattern[: self.ell], dtype=np.int64)
+        windows = np.array([pattern[:ell] for pattern in patterns], dtype=np.int64)
         values = self.order_values(self.kmer_codes(windows))
-        return np.argmin(values, axis=1).astype(np.int64)
+        return np.argmin(values, axis=1).astype(np.int64, copy=False)
 
     # -- whole strings ------------------------------------------------------------------
     def minimizer_positions(

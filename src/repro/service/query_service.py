@@ -21,8 +21,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..errors import QueryError, ReproError
-from ..indexes.base import affected_pattern_starts, coerce_pattern_array
-from ..indexes.query import Query, QueryPlanner, QueryResult
+from ..indexes.base import affected_pattern_starts
+from ..indexes.query import Query, QueryPlanner, QueryResult, coerce_pattern_array
 
 __all__ = ["QueryService"]
 

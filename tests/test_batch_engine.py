@@ -16,9 +16,9 @@ from repro.cli import main as cli_main
 from repro.errors import PatternError
 from repro.indexes import (
     INDEX_CLASSES,
-    BatchQueryEngine,
     HeavyMismatchVerifier,
     MinimizerWSA,
+    QueryPlanner,
     WeightedSuffixArray,
     build_index,
     verify_against_source,
@@ -77,14 +77,12 @@ class TestEdgeCases:
     def test_duplicate_patterns_answered_once(self, indexes):
         index = indexes["MWSA"]
         pattern = [0, 1, 0, 1, 2]
-        engine = BatchQueryEngine(index)
-        results = engine.match_many([pattern, pattern, pattern])
+        planner = QueryPlanner(index)
+        results = [result.positions for result in planner.execute([pattern] * 3)]
         assert results == [index.locate(pattern)] * 3
-        assert engine.last_stats == {
-            "patterns": 3,
-            "unique_patterns": 1,
-            "generation": 0,
-        }
+        assert planner.last_stats["patterns"] == 3
+        assert planner.last_stats["unique_patterns"] == 1
+        assert planner.last_stats["generation"] == 0
 
     def test_duplicate_results_are_independent_lists(self, indexes):
         index = indexes["MWSA"]

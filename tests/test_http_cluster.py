@@ -303,14 +303,14 @@ class TestSigtermDuringStartup:
     def test_exit_zero_when_terminated_mid_build(self, workers):
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve-http",
-             "--dataset", "EFM", "--length", "60000", "--z", "8", "--ell", "4",
+             "--dataset", "EFM", "--length", "200000", "--z", "8", "--ell", "4",
              "--workers", workers, "--port", "0"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env=_cli_env(), text=True,
         )
         try:
             # Past interpreter startup (~0.3 s, handlers installed), inside
-            # the ~10 s index build: the startup window the fix covers.
+            # the ~7 s index build: the startup window the fix covers.
             time.sleep(2.5)
             proc.send_signal(signal.SIGTERM)
             code = proc.wait(timeout=30)

@@ -2,9 +2,11 @@
 
 import pytest
 from construction_oracles import reference_leaves
+from test_oracle_equivalence import random_source
 
 from repro.core.heavy import HeavyString, max_mismatches
 from repro.errors import ConstructionError
+from repro.indexes import build_index
 from repro.indexes.minimizer_core import (
     FactorLeaf,
     LeafCollection,
@@ -71,6 +73,37 @@ class TestLeafCollectionSorting:
             assert from_trie == from_search
 
 
+class TestBatchRangeSearch:
+    """``prefix_range_many`` is the range lookup of every minimizer variant,
+    the tree variants included, so it must equal the trie walk exactly."""
+
+    @pytest.mark.parametrize("limit", (None, 3))
+    def test_prefix_range_many_matches_trie(self, limit):
+        source = random_source(60, 3, 5)
+        data = build_index(source, 4, kind="MWST", ell=4).data
+        for collection in (data.forward, data.backward):
+            if limit is not None:  # force the exact-comparator refinement
+                collection.SEARCH_PREFIX_LIMIT = limit
+                collection.invalidate_search_caches()
+            trie = collection.build_trie()
+            pieces = []
+            for row in range(len(collection)):
+                codes = collection.leaf_codes(row)
+                for cut in range(1, len(codes) + 1):
+                    pieces.append(codes[:cut])
+                    pieces.append(codes[: cut - 1] + [(codes[cut - 1] + 1) % 3])
+                pieces.append(codes + [0])
+            # Ranges compare as sequences: every empty range is equal.
+            expected = [range(*trie.descend(piece)) for piece in pieces]
+            found = collection.prefix_range_many(pieces).tolist()
+            assert [range(*pair) for pair in found] == expected
+            # Alone in a batch, a piece sets the search width itself.
+            for piece, leaves in list(zip(pieces, expected))[::7]:
+                collection.invalidate_search_caches()
+                pair = collection.prefix_range_many([piece])[0].tolist()
+                assert range(*pair) == leaves
+
+
 class TestEstimationSampling:
     def test_leaf_counts_match_pairs(self, paper_example, paper_estimation):
         scheme = MinimizerScheme(ell=3, sigma=2, k=2, order="lexicographic")
@@ -128,14 +161,3 @@ class TestEstimationSampling:
         assert array_size < grid_size
 
 
-class TestQueryPlumbing:
-    def test_split_pattern(self, paper_data):
-        mu, forward_piece, backward_piece = paper_data.split_pattern([0, 0, 1, 1])
-        assert 0 <= mu <= 2
-        assert forward_piece == [0, 0, 1, 1][mu:]
-        assert backward_piece == list(reversed([0, 0, 1, 1][: mu + 1]))
-
-    def test_candidate_positions(self, paper_data):
-        collection = paper_data.forward
-        candidates = paper_data.candidate_positions(range(len(collection)), collection, 1)
-        assert all(isinstance(value, int) for value in candidates)

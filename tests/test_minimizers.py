@@ -63,8 +63,8 @@ class TestSelection:
     def test_leftmost_pattern_minimizer_matches_window(self):
         scheme = MinimizerScheme(ell=4, sigma=2, k=2, order="lexicographic")
         pattern = [1, 0, 0, 1, 1, 0]
-        assert scheme.leftmost_pattern_minimizer(pattern) == scheme.window_minimizer(
-            pattern[:4]
+        assert scheme.leftmost_pattern_minimizers([pattern])[0] == (
+            scheme.window_minimizer(pattern[:4])
         )
 
     def test_string_shorter_than_window_has_no_minimizers(self):

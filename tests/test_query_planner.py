@@ -20,7 +20,6 @@ from repro.datasets.patterns import sample_valid_patterns
 from repro.errors import PatternError, QueryError
 from repro.indexes import (
     EMPTY_PATTERN_MESSAGE,
-    BatchQueryEngine,
     Query,
     QueryMode,
     QueryPlanner,
@@ -280,16 +279,54 @@ class TestEmptyPatternSemantics:
 
 
 class TestPlannerStrategies:
-    def test_scalar_vs_batch_strategy(self, indexes, patterns):
-        planner = QueryPlanner(indexes["MWSA"])
-        planner.execute([patterns[0]])
-        assert planner.last_stats["strategy"] == "scalar"
-        assert planner.last_stats["fan_out"] is False
-        planner.execute(patterns[:3])
-        assert planner.last_stats["strategy"] == "batch"
-        assert planner.last_stats["unique_patterns"] == len(
-            {tuple(p) for p in patterns[:3]}
+    def test_single_patterns_take_the_batch_hooks(
+        self, tmp_path, monkeypatch, indexes, source, patterns
+    ):
+        """One-pattern queries of every mode reach the batch hooks, on every
+        variant, the 3-shard index and store-loaded indexes alike."""
+        under_test = dict(indexes)
+        for kind in ("MWST", "SHARDED"):
+            path = tmp_path / f"{kind}.idx"
+            save_index(path, indexes[kind])
+            under_test[f"stored {kind}"] = load_index(path)
+        pattern = patterns[0]
+        oracle = expected_probs(source, pattern)
+        calls: list[tuple[str, int]] = []
+
+        def spy(index, hook):
+            original = getattr(index, hook)
+
+            def recorded(code_lists):
+                calls.append((hook, len(code_lists)))
+                return original(code_lists)
+
+            return recorded
+
+        queries = (
+            (lambda index: index.locate(pattern), "_batch_locate", oracle[0]),
+            (lambda index: index.count(pattern), "_batch_locate", len(oracle[0])),
+            (lambda index: index.exists(pattern), "_batch_locate", bool(oracle[0])),
+            (
+                lambda index: index.locate_probs(pattern),
+                "_batch_locate_probs",
+                list(zip(*oracle)),
+            ),
+            (
+                lambda index: index.topk(pattern, 2),
+                "_batch_locate_probs",
+                expected_topk(source, pattern, 2),
+            ),
         )
+        for name, index in under_test.items():
+            shards = getattr(index, "shard_indexes", None) or []
+            for target in (index, *shards):
+                assert not hasattr(target, "_locate_codes"), name
+            for hook in ("_batch_locate", "_batch_locate_probs"):
+                monkeypatch.setattr(index, hook, spy(index, hook))
+            for ask, hook, expected in queries:
+                calls.clear()
+                assert ask(index) == expected, name
+                assert calls[:1] == [(hook, 1)], (name, calls)
 
     def test_sharded_fan_out_recorded(self, indexes, patterns):
         planner = QueryPlanner(indexes["SHARDED"])
@@ -305,14 +342,17 @@ class TestPlannerStrategies:
         assert results[2].count == len(results[0].positions)
 
     def test_engine_compat_wrapper(self, indexes, patterns):
-        engine = BatchQueryEngine(indexes["MWSA"])
-        results = engine.match_many([patterns[0], patterns[0]])
-        assert engine.last_stats == {
+        planner = QueryPlanner(indexes["MWSA"])
+        results = planner.execute([patterns[0], patterns[0]])
+        assert planner.last_stats == {
             "patterns": 2,
             "unique_patterns": 1,
+            "subqueries": 2,
+            "fan_out": False,
             "generation": 0,
         }
-        assert results[0] == indexes["MWSA"].locate(patterns[0])
+        assert results[0].positions == indexes["MWSA"].match_many([patterns[0]])[0]
+        assert results[0].positions == indexes["MWSA"].locate(patterns[0])
 
     def test_sweep_counts_subqueries(self, indexes, patterns):
         planner = QueryPlanner(indexes["MWSA"])

@@ -338,58 +338,27 @@ class TestUpdateStores:
 
 
 class TestUpdateLogAndCompact:
-    def test_update_log_appends_and_reads_back(self, tmp_path):
-        from repro.io.store import append_update_log, read_update_log
-
-        store = tmp_path / "store"
-        store.mkdir()
-        assert read_update_log(store) == []
-        append_update_log(store, {"positions": [3], "strategy": "dirty-shards"})
-        append_update_log(store, {"positions": [9, 10], "strategy": "dirty-shards"})
-        log = read_update_log(store)
-        assert [entry["positions"] for entry in log] == [[3], [9, 10]]
-
-    def test_corrupt_update_log_raises(self, tmp_path):
-        from repro.errors import SerializationError
-        from repro.io.store import UPDATE_LOG_NAME, read_update_log
-
-        store = tmp_path / "store"
-        store.mkdir()
-        (store / UPDATE_LOG_NAME).write_text('{"ok": 1}\nnot json\n')
-        with pytest.raises(SerializationError):
-            read_update_log(store)
-
     def test_compact_folds_generations_and_truncates_log(self, tmp_path):
-        from repro.io.store import (
-            append_update_log,
-            compact_store,
-            read_update_log,
-        )
+        from repro.io.store import WAL_NAME, apply_updates_durably, compact_store
 
         source, index = TestShardedDirtyUpdates().make()
         store = tmp_path / "store"
         save_sharded_store(store, index)
         for batch in range(2):
             updates = [(int(10 + 40 * batch), {"C": 0.5, "G": 0.5})]
-            report = index.apply_updates(updates)
-            refresh = refresh_sharded_store(store, index, generation_names=True)
-            append_update_log(
-                store,
-                {
-                    "positions": report.positions,
-                    "strategy": report.strategy,
-                    "rewritten": refresh["rewritten"],
-                },
-            )
+            apply_updates_durably(store, index, updates, generation_names=True)
         assert list(store.glob("shard-*.g*.idx"))
-        assert len(read_update_log(store)) == 2
+        assert (store / WAL_NAME).exists()
         patterns = heavy_patterns(source, count=20)
         answers_before = [index.locate(pattern) for pattern in patterns]
 
         outcome = compact_store(store)
-        assert outcome["log_entries_cleared"] == 2
+        assert outcome["shards"] == len(index.shards) and outcome["removed"]
         assert not list(store.glob("shard-*.g*.idx"))
-        assert read_update_log(store) == []
+        assert sorted(path.name for path in store.glob("shard-*.idx")) == [
+            f"shard-{number:04d}.idx" for number in range(len(index.shards))
+        ]
+        assert not (store / WAL_NAME).exists()
         compacted = load_sharded_store(store)
         assert compacted.generations == [0] * len(compacted.shards)
         assert [compacted.locate(pattern) for pattern in patterns] == answers_before
@@ -410,7 +379,7 @@ class TestUpdateLogAndCompact:
             if name.endswith(".idx")
         }
         outcome = compact_store(store)
-        assert outcome["removed"] == [] and outcome["log_entries_cleared"] == 0
+        assert outcome == {"shards": len(index.shards), "removed": []}
         for name, payload in contents.items():
             assert (store / name).read_bytes() == payload, name
 
