@@ -90,6 +90,11 @@ class HeavyString:
         return self._logs
 
     # -- probabilities over ranges --------------------------------------------
+    @property
+    def log_prefix(self) -> np.ndarray:
+        """Prefix sums of :attr:`log_probabilities` (``n + 1`` entries, from 0)."""
+        return self._log_prefix
+
     def log_range_product(self, start: int, stop: int) -> float:
         """Natural log of the product of heavy probabilities over ``[start, stop)``."""
         if start >= stop:
@@ -110,27 +115,6 @@ class HeavyString:
     def range_product(self, start: int, stop: int) -> float:
         """Product of heavy probabilities over ``[start, stop)`` (the PPH ratio)."""
         return math.exp(self.log_range_product(start, stop))
-
-    def solid_heavy_run(self, start: int, z: float) -> int:
-        """Longest ``L`` such that the heavy factor ``H[start .. start+L)`` is solid.
-
-        Used by the space-efficient construction to know how far a factor can
-        be extended "for free" along the heavy string.
-        """
-        z = validate_threshold(z)
-        budget = -math.log(z) - 1e-12
-        # Find the largest stop with log_prefix[stop] - log_prefix[start] >= budget.
-        target = self._log_prefix[start] + budget
-        # log_prefix is non-increasing? No: logs are <= 0, so prefix is non-increasing.
-        # We need the last index stop >= start with log_prefix[stop] >= target.
-        lo, hi = start, self._length
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._log_prefix[mid] >= target - 1e-15:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo - start
 
     # -- point updates ---------------------------------------------------------
     def updated_copy(self, source: WeightedString, positions) -> "HeavyString":

@@ -126,9 +126,9 @@ class FactorLeaf:
 class LeafArrays:
     """Structure-of-arrays leaf storage: one row per leaf, mismatches in CSR.
 
-    The construction fast path derives leaves directly in this layout;
-    :meth:`from_leaves` converts a list of :class:`FactorLeaf` objects (the
-    space-efficient DFS, hand-built collections).
+    Both constructions (the estimation path and the space-efficient DFS)
+    emit leaves directly in this layout; :meth:`from_leaves` converts a list
+    of :class:`FactorLeaf` objects (hand-built collections, test oracles).
     """
 
     __slots__ = (

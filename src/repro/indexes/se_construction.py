@@ -5,13 +5,14 @@ z-estimation, which costs Θ(nz) working space even though the final index is
 only ``O(n + (nz/ℓ)·log z)``.  The space-efficient construction avoids this
 by a depth-first traversal of the *extended solid factor trees*: solid
 factors are grown one letter at a time away from the heavy string, the
-probability of the grown part is maintained incrementally, a sliding
-structure over the last ℓ positions of the current root-to-node path detects
-the minimizers of solid length-ℓ windows, and a leaf (anchor position +
+probability of the grown part is maintained incrementally, the minimizer of
+every solid length-ℓ window is the minimum k-mer key over the last ℓ
+positions of the current root-to-node path, and a leaf (anchor position +
 mismatch list, the Corollary-4 encoding) is emitted whenever the traversal
 backtracks through a pending minimizer position.  At any moment only the
-current path, O(n) bookkeeping arrays and the already-emitted output are
-alive, so the peak working space is ``O(n + output)``.
+current path, O(n) per-position lists, the sorted letters of the uncertain
+rows and the already-emitted output are alive, so the peak working space is
+``O(n + output)``.
 
 Two passes are run: one on the weighted string itself (producing the
 ``Tsuff`` leaves) and one on its reverse (producing the ``Tpref`` leaves);
@@ -21,17 +22,18 @@ window, so the sampled positions coincide with the explicit construction's.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.heavy import HeavyString
-from ..core.numerics import is_solid_probability, validate_threshold
+from ..core.numerics import RELATIVE_TOLERANCE, validate_threshold
 from ..core.weighted_string import WeightedString
 from ..errors import ConstructionError
 from ..sampling.minimizers import MinimizerScheme
-from .minimizer_core import FactorLeaf, LeafCollection, MinimizerIndexData
+from .minimizer_core import LeafArrays, LeafCollection, MinimizerIndexData
 from .mwst import MinimizerIndexBase
 from .space import DEFAULT_SPACE_MODEL, ConstructionTracker, IndexStats, SpaceModel
 
@@ -48,73 +50,6 @@ class DFSStatistics:
     solid_windows: int = 0
 
 
-class _MinSegmentTree:
-    """Point-update / range-min segment tree over packed integer keys.
-
-    Keys are ``(order value << 32) | (tie + offset)`` integers — one machine
-    comparison instead of a tuple compare — and :meth:`set` stops climbing as
-    soon as an ancestor's minimum is unchanged, which is the common case
-    when inserting a random-order k-mer into a populated window.
-    :meth:`bulk_fill` seeds every leaf at once and builds the internal nodes
-    bottom-up in O(size), which is how the heavy-spine descent batches its
-    ``n`` point updates into one pass.
-    """
-
-    _SENTINEL = 1 << 100
-
-    def __init__(self, size: int) -> None:
-        self._size = 1
-        while self._size < max(1, size):
-            self._size *= 2
-        self._keys = [self._SENTINEL] * (2 * self._size)
-
-    def set(self, position: int, key: int) -> None:
-        keys = self._keys
-        node = self._size + position
-        keys[node] = key
-        node >>= 1
-        while node:
-            left = keys[2 * node]
-            right = keys[2 * node + 1]
-            smallest = left if left < right else right
-            if keys[node] == smallest:
-                break
-            keys[node] = smallest
-            node >>= 1
-
-    def clear(self, position: int) -> None:
-        self.set(position, self._SENTINEL)
-
-    def bulk_fill(self, leaf_keys: list) -> None:
-        """Set leaves ``0 .. len(leaf_keys)`` at once (O(size) rebuild)."""
-        keys = self._keys
-        size = self._size
-        keys[size : size + len(leaf_keys)] = leaf_keys
-        for node in range(size - 1, 0, -1):
-            left = keys[2 * node]
-            right = keys[2 * node + 1]
-            keys[node] = left if left < right else right
-
-    def range_min(self, lo: int, hi: int) -> int:
-        """Minimum key over positions [lo, hi); the sentinel if empty."""
-        best = self._SENTINEL
-        keys = self._keys
-        lo += self._size
-        hi += self._size
-        while lo < hi:
-            if lo & 1:
-                if keys[lo] < best:
-                    best = keys[lo]
-                lo += 1
-            if hi & 1:
-                hi -= 1
-                if keys[hi] < best:
-                    best = keys[hi]
-            lo >>= 1
-            hi >>= 1
-        return best
-
-
 class _ExtendedFactorDFS:
     """One traversal of the (forward or backward) extended solid factor tree."""
 
@@ -129,8 +64,6 @@ class _ExtendedFactorDFS:
         reverse_orientation: bool,
         max_nodes: int | None = None,
     ) -> None:
-        self.view = view
-        self.heavy = heavy
         self.z = z
         self.ell = ell
         self.scheme = scheme
@@ -140,33 +73,40 @@ class _ExtendedFactorDFS:
         n = len(view)
         self.n = n
         self.k = scheme.k
-        self.heavy_codes = heavy.codes
-        # Letters sorted by decreasing probability per position, so the DFS
-        # can stop trying letters as soon as the solidity check fails.  One
-        # whole-matrix argsort instead of n per-row sorts; the count vector
-        # bounds each position's loop to its positive letters (zeros sort
-        # last under the stable descending order).
+        self.heavy_codes = heavy.codes.tolist()
+        self.log_prefix = heavy.log_prefix.tolist()
+        # The positive letters of every uncertain row, by decreasing
+        # probability (ties by code), so the DFS stops trying letters as soon
+        # as the solidity check fails.  A certain row's one letter is its
+        # heavy letter with probability 1, so only the uncertain rows (a few
+        # percent on genomic data) are sorted and kept.
         matrix = view.matrix
-        if n:
-            self.letter_order = np.argsort(-matrix, axis=1, kind="stable")
-            self.letter_probs = np.take_along_axis(matrix, self.letter_order, axis=1)
-            self.letter_counts = np.count_nonzero(matrix > 0.0, axis=1).tolist()
-        else:
-            self.letter_order = np.empty((0, view.sigma), dtype=np.int64)
-            self.letter_probs = np.empty((0, view.sigma), dtype=np.float64)
-            self.letter_counts = []
+        uncertain = np.flatnonzero(
+            (heavy.probabilities != 1.0) | (np.count_nonzero(matrix > 0.0, axis=1) > 1)
+        )
+        order = np.argsort(-matrix[uncertain], axis=1, kind="stable")
+        probabilities = np.take_along_axis(matrix[uncertain], order, axis=1)
+        self.choices = {
+            position: [
+                (code, probability)
+                for code, probability in zip(codes, row)
+                if probability > 0.0
+            ]
+            for position, codes, row in zip(
+                uncertain.tolist(), order.tolist(), probabilities.tolist()
+            )
+        }
         # Packed order keys of every *heavy* k-mer, so the (frequent) k-mer
         # windows that lie entirely on the heavy spine skip the per-letter
         # code accumulation.
-        self._heavy_keys = self._pack_heavy_keys()
+        self.heavy_keys = self._pack_heavy_keys(heavy.codes)
 
     # -- k-mer handling ----------------------------------------------------------------
-    def _pack_key(self, order_value: int, position: int) -> int:
-        """One integer encoding the (order value, tie) pair, order-preserving."""
-        tie = -position if self.reverse_orientation else position
-        return (int(order_value) << 32) | (tie + self.n)
-
-    def _pack_heavy_keys(self) -> list[int]:
+    # A k-mer's key is ``(order value << 32) | (tie + n)``: one integer
+    # comparison orders by value, then by tie.  The tie is the path position
+    # (forward) or its negation (backward, so the leftmost position of the
+    # original string wins either way).
+    def _pack_heavy_keys(self, heavy_codes: np.ndarray) -> list[int]:
         """Packed keys of all heavy-spine k-mers, computed vectorised."""
         n, k, sigma = self.n, self.k, self.scheme.sigma
         if n < k:
@@ -175,195 +115,193 @@ class _ExtendedFactorDFS:
         offsets = (
             range(k - 1, -1, -1) if self.reverse_orientation else range(k)
         )
-        # Mirrors _kmer_key's accumulation order: the reverse orientation
-        # reads the view letters backwards (the original-orientation k-mer).
+        # The reverse orientation reads the view letters backwards (the
+        # original-orientation k-mer), as the DFS's own k-mer codes do.
         for offset in offsets:
-            codes = codes * sigma + self.heavy_codes[offset : n - k + 1 + offset]
-        orders = self.scheme.order_values(codes)
+            codes = codes * sigma + heavy_codes[offset : n - k + 1 + offset]
+        orders = self.scheme.order_values(codes).tolist()
+        sign = -1 if self.reverse_orientation else 1
         return [
-            self._pack_key(int(order), position)
-            for position, order in enumerate(orders)
+            (order << 32) | (sign * position + n) for position, order in enumerate(orders)
         ]
 
-    def _kmer_key(self, path_letters: np.ndarray, position: int) -> int:
-        """Order key of the k-mer anchored at ``position`` of the current path."""
-        sigma = self.scheme.sigma
-        code = 0
-        if self.reverse_orientation:
-            # The original-orientation k-mer reads the view letters backwards.
-            for offset in range(self.k - 1, -1, -1):
-                code = code * sigma + int(path_letters[position + offset])
-        else:
-            for offset in range(self.k):
-                code = code * sigma + int(path_letters[position + offset])
-        return self._pack_key(self.scheme.order_value(code), position)
-
-    def _pending_from_key(self, key: int) -> int:
-        """Map a selected k-mer key back to the path position that must emit."""
-        selected_tie = (key & 0xFFFFFFFF) - self.n
-        if self.reverse_orientation:
-            return -selected_tie + self.k - 1
-        return selected_tie
-
     # -- the traversal ------------------------------------------------------------------
-    def run(self) -> list[FactorLeaf]:
+    def run(self) -> LeafArrays:
+        """Traverse the tree; the leaves come out in emission order.
+
+        The path is kept in per-position lists: the node at position ``c``
+        spells the path letters ``c .. n-1``, and the traversal descends
+        towards position 0.  The minimizer of a solid window ``[c, c + ℓ)`` is
+        the minimum of the k-mer keys at positions ``c .. c + ℓ - k``, all of
+        which lie on the current path, so backtracking never has to clear a
+        key: a position's key is rewritten whenever the path reaches it again.
+        """
         n, k, ell, z = self.n, self.k, self.ell, self.z
         if n < ell:
-            return []
-        heavy = self.heavy
-        heavy_codes = self.heavy_codes
-        path_letters = np.zeros(n, dtype=np.int64)
-        tree = _MinSegmentTree(max(1, n - k + 1))
-        pending: set[int] = set()
-        diff_stack: list[tuple[int, int]] = []
-        leaves: list[FactorLeaf] = []
-        statistics = self.statistics
+            return LeafArrays.empty()
+        if self.max_nodes is not None and n > self.max_nodes:
+            # The heavy spine alone is n nodes.
+            raise ConstructionError("space-efficient construction exceeded the node budget")
+        limit = math.inf if self.max_nodes is None else self.max_nodes
+        heavy = self.heavy_codes
+        log_prefix = self.log_prefix
+        choices = self.choices
+        heavy_keys = self.heavy_keys
+        sigma = self.scheme.sigma
+        order_value = self.scheme.order_value
+        reverse = self.reverse_orientation
+        # Solidity is tested inline with is_solid_probability's arithmetic:
+        # z·p + tol·max(1, z·p) ≥ 1.
+        tolerance = RELATIVE_TOLERANCE
+        span = ell - k + 1
+        # A k-mer at path position q has tie ``sign * q``.  A selected key's
+        # low 32 bits are ``tie + n``; the leaf that must be emitted sits at
+        # the k-mer's first letter in the original orientation: path position
+        # ``tie`` forward, ``-tie + k - 1`` backward.
+        mask = 0xFFFFFFFF
+        sign = -1 if reverse else 1
+        pending_offset = n + k - 1 if reverse else -n
 
-        def window_is_solid(position: int, probability: float) -> bool:
-            if position + ell > n:
-                return False
-            if not diff_stack:
-                window_probability = heavy.range_product(position, position + ell)
-            else:
-                last_mismatch = diff_stack[0][0]
-                if last_mismatch >= position + ell:
-                    return True
-                window_probability = probability * heavy.range_product(
-                    last_mismatch + 1, position + ell
-                )
-            return is_solid_probability(window_probability, z)
+        path = list(heavy)
+        keys = list(heavy_keys)
+        # probabilities[c]: probability of the grown part of the node at c
+        # (1 on the heavy spine); tried[c]: next letter index to try at c.
+        probabilities = [1.0] * (n + 1)
+        tried = [1] * n
+        pending = [False] * n
+        diff_positions: list[int] = []
+        diff_codes: list[int] = []
+        anchors: list[int] = []
+        mm_positions: list[int] = []
+        mm_codes: list[int] = []
+        mm_ends: list[int] = [0]
 
-        def emit(position: int) -> None:
-            offsets = sorted(
-                ((diff_position - position, code) for diff_position, code in diff_stack)
-            )
-            anchor = position
-            original_position = (n - 1 - position) if self.reverse_orientation else position
-            leaves.append(
-                FactorLeaf(
-                    anchor=anchor,
-                    length=n - position,
-                    mismatches=tuple(offsets),
-                    position=original_position,
-                    source=-1,
-                )
-            )
-            statistics.leaves += 1
+        # The leftmost branch is the heavy spine: heavy letters are tried
+        # first and are always solid (the grown part is empty), so its n
+        # nodes are applied at once and only its solid windows are probed.
+        # heavy_pending[c]: the position the heavy window at c selects, which
+        # any path whose deepest mismatch lies past the window shares.
+        heavy_pending = [
+            sign * (min(heavy_keys[c : c + span]) & mask) + pending_offset
+            for c in range(n - ell + 1)
+        ]
+        solid_windows = 0
+        for c in range(n - ell, -1, -1):
+            scaled = z * math.exp(log_prefix[c + ell] - log_prefix[c])
+            if scaled + tolerance * (scaled if scaled > 1.0 else 1.0) >= 1.0:
+                solid_windows += 1
+                pending[heavy_pending[c]] = True
+        nodes = n
 
-        # Frames: [node_position, letter_index, child_undo]; the root frame sits
-        # at position n (the empty string) and descends towards position 0.
-        stack = [[n, 0, None]]
-        probability = 1.0
-        letter_counts = self.letter_counts
-        letter_order = self.letter_order
-        letter_probs = self.letter_probs
-        heavy_keys = self._heavy_keys
-        sentinel = _MinSegmentTree._SENTINEL
-
-        if self.max_nodes is None:
-            # Batch the leftmost branch: the heavy spine is always tried
-            # first (heavy letters are probability-sorted first) and is
-            # always solid (its grown part is empty), so the first n frames,
-            # the n segment-tree point updates and the per-window solidity
-            # checks collapse into one vectorised prologue: frames are
-            # stacked in bulk, the tree is bottom-up filled with the
-            # precomputed heavy k-mer keys, and the pending minimizers of
-            # every solid spine window are seeded by plain range-min probes.
-            path_letters[:] = heavy_codes
-            tree.bulk_fill(heavy_keys)
-            for child_position in range(n - 1, -1, -1):
-                kmer_position = child_position if child_position + k <= n else -1
-                stack[-1][1] = 1
-                stack[-1][2] = (False, 1.0, kmer_position)
-                stack.append([child_position, 0, None])
-                if window_is_solid(child_position, 1.0):
-                    statistics.solid_windows += 1
-                    # Every queried window lies at positions ≥ child_position,
-                    # exactly the keys a stepwise descent would have set.
-                    key = tree.range_min(
-                        child_position, child_position + ell - k + 1
-                    )
-                    if key != sentinel:
-                        pending.add(self._pending_from_key(key))
-            statistics.nodes += n
-            statistics.max_depth = n
-
-        while stack:
-            frame = stack[-1]
-            node_position, letter_index, child_undo = frame
-            if child_undo is not None:
-                # A child subtree just finished: undo its letter application.
-                (pushed_diff, previous_probability, kmer_position) = child_undo
-                child_position = node_position - 1
-                if child_position in pending:
-                    pending.discard(child_position)
-                    emit(child_position)
-                if pushed_diff:
-                    diff_stack.pop()
-                probability = previous_probability
-                if kmer_position >= 0:
-                    tree.clear(kmer_position)
-                frame[2] = None
-            child_position = node_position - 1
-            descended = False
-            while child_position >= 0 and frame[1] < letter_counts[child_position]:
-                letter_probability = float(letter_probs[child_position, frame[1]])
-                code = int(letter_order[child_position, frame[1]])
-                frame[1] += 1
-                pure_heavy = not diff_stack and code == int(heavy_codes[child_position])
-                if pure_heavy:
-                    new_probability = 1.0
-                else:
-                    candidate = (
-                        letter_probability
-                        if not diff_stack
-                        else probability * letter_probability
-                    )
-                    if not is_solid_probability(candidate, z):
-                        # Letters are sorted by decreasing probability: once one
-                        # fails, the remaining (non-heavy) letters fail too.
-                        frame[1] = letter_counts[child_position]
+        # Backtrack from the deepest spine node (position 0) and explore
+        # every other branch.  Every node opened below has a mismatch on its
+        # path (the spine's heavy letters were all tried above), so
+        # ``diff_positions`` is never empty while a node is being applied.
+        finished = 0
+        while finished < n:
+            # The node at ``finished`` has no children left: emit it if a
+            # solid window selected it, then undo its letter.
+            if pending[finished]:
+                pending[finished] = False
+                anchors.append(finished)
+                mm_positions.extend(reversed(diff_positions))
+                mm_codes.extend(reversed(diff_codes))
+                mm_ends.append(len(mm_positions))
+            if diff_positions and diff_positions[-1] == finished:
+                diff_positions.pop()
+                diff_codes.pop()
+            c = finished
+            index = tried[c]
+            probability = probabilities[c + 1]
+            while c >= 0:
+                letters = choices.get(c)
+                if letters is None:
+                    # Certain row: the heavy letter keeps the probability.
+                    if index:
                         break
-                    new_probability = candidate
-                if self.max_nodes is not None and statistics.nodes >= self.max_nodes:
+                    code = heavy[c]
+                else:
+                    if index == len(letters):
+                        break
+                    code, letter_probability = letters[index]
+                    candidate = probability * letter_probability
+                    scaled = z * candidate
+                    if scaled + tolerance * (scaled if scaled > 1.0 else 1.0) < 1.0:
+                        # Letters are sorted by decreasing probability: once
+                        # one fails, the remaining letters fail too.
+                        break
+                    probability = candidate
+                    if code != heavy[c]:
+                        diff_positions.append(c)
+                        diff_codes.append(code)
+                if nodes >= limit:
                     raise ConstructionError(
                         "space-efficient construction exceeded the node budget"
                     )
-                # Apply the letter and open the child frame.
-                statistics.nodes += 1
-                statistics.max_depth = max(statistics.max_depth, n - child_position)
-                path_letters[child_position] = code
-                pushed_diff = False
-                if not pure_heavy and code != int(heavy_codes[child_position]):
-                    diff_stack.append((child_position, code))
-                    pushed_diff = True
-                previous_probability = probability
-                probability = new_probability
-                kmer_position = -1
-                if child_position + k <= n:
-                    kmer_position = child_position
-                    if not diff_stack or diff_stack[-1][0] >= kmer_position + k:
-                        # The k-mer window lies entirely on the heavy spine
-                        # (the deepest diff sits past it): reuse the
-                        # precomputed packed key.
-                        key = heavy_keys[kmer_position]
+                nodes += 1
+                tried[c] = index + 1
+                probabilities[c] = probability
+                path[c] = code
+                if c + k <= n:
+                    if diff_positions[-1] >= c + k:
+                        # The k-mer lies on the heavy spine (the deepest
+                        # mismatch sits past it): reuse its precomputed key.
+                        keys[c] = heavy_keys[c]
                     else:
-                        key = self._kmer_key(path_letters, kmer_position)
-                    tree.set(kmer_position, key)
-                if window_is_solid(child_position, probability):
-                    statistics.solid_windows += 1
-                    key = tree.range_min(child_position, child_position + ell - k + 1)
-                    if key != sentinel:
-                        pending.add(self._pending_from_key(key))
-                frame[2] = (pushed_diff, previous_probability, kmer_position)
-                stack.append([child_position, 0, None])
-                descended = True
-                break
-            if descended:
-                continue
-            # All children explored: close this frame (the parent will undo).
-            stack.pop()
-        return leaves
+                        kmer = path[c : c + k]
+                        value = 0
+                        for letter in reversed(kmer) if reverse else kmer:
+                            value = value * sigma + letter
+                        keys[c] = (order_value(value) << 32) | (sign * c + n)
+                end = c + ell
+                if end <= n:
+                    if diff_positions[-1] >= end:
+                        # A heavy window inside the (solid) grown part.
+                        solid_windows += 1
+                        pending[heavy_pending[c]] = True
+                    else:
+                        # The window is solid if it lies inside the grown
+                        # part, or if the grown part times the heavy tail is.
+                        first = diff_positions[0]
+                        solid = first >= end
+                        if not solid:
+                            scaled = z * (
+                                probability
+                                * math.exp(log_prefix[end] - log_prefix[first + 1])
+                            )
+                            solid = (
+                                scaled + tolerance * (scaled if scaled > 1.0 else 1.0) >= 1.0
+                            )
+                        if solid:
+                            solid_windows += 1
+                            key = min(keys[c : c + span])
+                            pending[sign * (key & mask) + pending_offset] = True
+                c -= 1
+                index = 0
+            # The letters at ``c`` are exhausted: the node at ``c + 1`` is done.
+            finished = c + 1
+
+        statistics = self.statistics
+        statistics.nodes = nodes
+        statistics.max_depth = n
+        statistics.leaves = len(anchors)
+        statistics.solid_windows = solid_windows
+        anchor_array = np.asarray(anchors, dtype=np.int64)
+        mm_start = np.asarray(mm_ends, dtype=np.int64)
+        # Mismatches were recorded at path positions in increasing order;
+        # the leaf stores them as offsets from its anchor.
+        mm_offset = np.asarray(mm_positions, dtype=np.int64) - np.repeat(
+            anchor_array, np.diff(mm_start)
+        )
+        return LeafArrays(
+            anchor_array,
+            n - anchor_array,
+            (n - 1 - anchor_array) if reverse else anchor_array,
+            np.full(len(anchor_array), -1, dtype=np.int64),
+            mm_start,
+            mm_offset,
+            np.asarray(mm_codes, dtype=np.int64),
+        )
 
 
 def build_index_data_space_efficient(
@@ -451,11 +389,15 @@ class SpaceEfficientMWST(MinimizerIndexBase):
             source, z, ell, scheme=scheme, max_nodes=max_nodes
         )
         n = len(source)
-        # Working space: the input matrix, the O(n) traversal bookkeeping and
-        # the emitted leaves — but no z-estimation.  (The Python implementation
-        # materialises a reversed copy of the matrix for convenience; an
-        # array-based implementation reads the same matrix backwards, so the
-        # input is charged once, as for every other construction.)
+        # Working space: the input matrix, six words per position for the
+        # traversal (path letters, path and heavy k-mer keys, path
+        # probabilities, letter cursors, pending flags) and the emitted
+        # leaves — but no z-estimation.  The sorted letters of the uncertain
+        # rows are a subset of the input, charged with it.  (The Python
+        # implementation materialises a reversed copy of the matrix for
+        # convenience; an array-based implementation reads the same matrix
+        # backwards, so the input is charged once, as for every other
+        # construction.)
         tracker.allocate(space_model.probabilities(n * source.sigma))
         tracker.allocate(space_model.words(6 * n))
         tracker.allocate(

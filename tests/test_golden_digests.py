@@ -34,6 +34,7 @@ from test_differential_fuzz import random_weighted_string  # noqa: E402
 
 from repro.core.alphabet import Alphabet  # noqa: E402
 from repro.core.weighted_string import WeightedString  # noqa: E402
+from repro.datasets.registry import load_dataset  # noqa: E402
 from repro.datasets.synthetic import sparse_uncertainty_string  # noqa: E402
 from repro.indexes import build_index  # noqa: E402
 from repro.indexes.minimizer_core import LeafCollection  # noqa: E402
@@ -55,6 +56,11 @@ SWEEP = [
 def _sparse_source():
     """The sparse-uncertainty workload of the construction bench at n=4,000."""
     return sparse_uncertainty_string(4_000, 4, delta=0.1, seed=17)
+
+
+def _efm_source():
+    """EFM-like n=1,500: at z=32 the MWST-SE traversal branches deeply."""
+    return load_dataset("EFM", 1_500)
 
 
 def _wide_alphabet_source():
@@ -94,6 +100,8 @@ def _cases():
         factory = lambda seed=seed: random_weighted_string("degenerate", 90, 3, seed)  # noqa: E731
         cases[f"narrow-sort-{seed}-MWST-G"] = (factory, 4.0, 3, "MWST-G", None, True)
     cases["sigma300-MWST-G"] = (_wide_alphabet_source, 3.0, 2, "MWST-G", None, False)
+    cases["efm1500-z32-MWST-SE"] = (_efm_source, 32.0, 16, "MWST-SE", None, False)
+    cases["sparse4000-ell8-MWST-SE"] = (_sparse_source, 8.0, 8, "MWST-SE", None, False)
     return cases
 
 

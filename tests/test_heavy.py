@@ -35,15 +35,6 @@ class TestHeavyString:
         heavy = HeavyString(paper_example)
         assert heavy.range_product(3, 3) == pytest.approx(1.0)
 
-    def test_solid_heavy_run(self, paper_example):
-        heavy = HeavyString(paper_example)
-        # From position 0: 1 * .5 * .75 * .8 = 0.3 >= 1/4 but adding .5 drops below.
-        assert heavy.solid_heavy_run(0, 4) == 4
-
-    def test_solid_heavy_run_with_z_one(self, paper_example):
-        heavy = HeavyString(paper_example)
-        assert heavy.solid_heavy_run(0, 1) == 1  # only the certain first position
-
     def test_factor_codes_applies_mismatches(self, paper_example):
         heavy = HeavyString(paper_example)
         codes = heavy.factor_codes(0, 4, [(1, 1)])

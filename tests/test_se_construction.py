@@ -2,60 +2,19 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.heavy import max_mismatches
+from repro.datasets.registry import load_dataset
+from repro.datasets.synthetic import sparse_uncertainty_string
 from repro.errors import ConstructionError
-from repro.indexes import brute_force_occurrences
+from repro.indexes import brute_force_occurrences, build_index_data_from_estimation
 from repro.indexes.se_construction import (
     SpaceEfficientMWST,
-    _MinSegmentTree,
     build_index_data_space_efficient,
 )
 from repro.sampling.minimizers import MinimizerScheme
-
-
-def _key(order: int, tie: int) -> int:
-    """Packed (order value, tie) key, mirroring _ExtendedFactorDFS._pack_key."""
-    return (order << 32) | tie
-
-
-class TestMinSegmentTree:
-    def test_point_updates_and_queries(self):
-        tree = _MinSegmentTree(8)
-        tree.set(2, _key(5, 2))
-        tree.set(5, _key(3, 5))
-        tree.set(7, _key(3, 7))
-        assert tree.range_min(0, 8) == _key(3, 5)
-        assert tree.range_min(0, 5) == _key(5, 2)
-        assert tree.range_min(6, 8) == _key(3, 7)
-
-    def test_clear_restores_sentinel(self):
-        tree = _MinSegmentTree(4)
-        tree.set(1, _key(1, 1))
-        tree.clear(1)
-        assert tree.range_min(0, 4) == tree._SENTINEL
-
-    def test_empty_range(self):
-        tree = _MinSegmentTree(4)
-        assert tree.range_min(2, 2) == tree._SENTINEL
-
-    def test_tie_breaking_prefers_smaller_key(self):
-        tree = _MinSegmentTree(4)
-        tree.set(0, _key(7, 3))
-        tree.set(1, _key(7, 1))
-        assert tree.range_min(0, 4) == _key(7, 1)
-
-    def test_bulk_fill_matches_point_updates(self):
-        bulk = _MinSegmentTree(6)
-        stepwise = _MinSegmentTree(6)
-        keys = [_key(order, tie) for tie, order in enumerate((9, 4, 6, 2, 8, 5))]
-        bulk.bulk_fill(keys)
-        for position, key in enumerate(keys):
-            stepwise.set(position, key)
-        for lo in range(6):
-            for hi in range(lo, 7):
-                assert bulk.range_min(lo, hi) == stepwise.range_min(lo, hi)
 
 
 class TestSpaceEfficientData:
@@ -84,8 +43,6 @@ class TestSpaceEfficientData:
             assert leaf.length == leaf.position + 1
 
     def test_minimizer_positions_match_explicit_construction(self, paper_example):
-        from repro.indexes import build_index_data_from_estimation
-
         scheme = MinimizerScheme(3, 2, k=2, order="lexicographic")
         explicit = build_index_data_from_estimation(paper_example, 4, 3, scheme=scheme)
         space_efficient, _ = build_index_data_space_efficient(
@@ -95,6 +52,26 @@ class TestSpaceEfficientData:
         se_positions = {leaf.position for leaf in space_efficient.forward}
         assert explicit_positions == se_positions
 
+    @pytest.mark.parametrize(
+        ("dataset", "z", "ell"),
+        [("EFM", 16, 16), ("EFM", 32, 8), ("sparse", 8, 16)],
+    )
+    def test_minimizer_positions_match_explicit_default_scheme(self, dataset, z, ell):
+        # The default random-order scheme (real k, mix64 order) on inputs
+        # where the traversal branches: every solid window's minimizer must
+        # be sampled by both constructions, in both orientations.
+        if dataset == "EFM":
+            source = load_dataset("EFM", 1_500)
+        else:
+            source = sparse_uncertainty_string(2_000, 4, delta=0.1, seed=17)
+        explicit = build_index_data_from_estimation(source, z, ell)
+        space_efficient, _ = build_index_data_space_efficient(source, z, ell)
+        for orientation in ("forward", "backward"):
+            expected = np.unique(getattr(explicit, orientation).positions)
+            actual = np.unique(getattr(space_efficient, orientation).positions)
+            assert len(expected) > 0
+            np.testing.assert_array_equal(actual, expected)
+
     def test_invalid_ell_rejected(self, paper_example):
         with pytest.raises(ConstructionError):
             build_index_data_space_efficient(paper_example, 4, 0)
@@ -102,6 +79,30 @@ class TestSpaceEfficientData:
     def test_node_budget_guard(self, small_genomic_string):
         with pytest.raises(ConstructionError):
             build_index_data_space_efficient(small_genomic_string, 8, 8, max_nodes=3)
+
+    def test_node_budget_is_checked_up_front_and_otherwise_inert(self, small_genomic_string):
+        source = small_genomic_string
+        unlimited, unlimited_counters = build_index_data_space_efficient(source, 8, 8)
+        budgeted, budgeted_counters = build_index_data_space_efficient(
+            source, 8, 8, max_nodes=10**9
+        )
+        assert budgeted_counters == unlimited_counters
+        for orientation in ("forward", "backward"):
+            expected = getattr(unlimited, orientation).arrays
+            actual = getattr(budgeted, orientation).arrays
+            for field in expected.__slots__:
+                np.testing.assert_array_equal(
+                    getattr(actual, field), getattr(expected, field)
+                )
+        # The heavy spine alone needs len(source) nodes.
+        with pytest.raises(ConstructionError):
+            build_index_data_space_efficient(source, 8, 8, max_nodes=len(source) - 1)
+        # The budget holds per pass: the larger pass's node count is enough.
+        needed = max(unlimited_counters["forward_nodes"], unlimited_counters["backward_nodes"])
+        assert needed > len(source)
+        build_index_data_space_efficient(source, 8, 8, max_nodes=needed)
+        with pytest.raises(ConstructionError):
+            build_index_data_space_efficient(source, 8, 8, max_nodes=needed - 1)
 
     def test_string_shorter_than_ell_yields_no_leaves(self, paper_example):
         data, _ = build_index_data_space_efficient(paper_example, 4, 10)
